@@ -14,6 +14,7 @@
 #ifndef CORM_COMMON_SHARDED_COUNTERS_H_
 #define CORM_COMMON_SHARDED_COUNTERS_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -73,6 +74,43 @@ class Sharded {
 
   const size_t n_;
   std::unique_ptr<Padded[]> shards_;
+};
+
+// One counter striped over kStripes cachelines, for counters bumped by
+// threads that have no shard of their own (any thread may post an RDMA
+// verb). Each thread adds to the stripe it was dealt round-robin on first
+// use, so up to kStripes concurrent threads never share a line; load()
+// sums the stripes and is exact once the adders are quiescent. The
+// std::atomic-like load() keeps `stats().reads.load()` call sites intact.
+class StripedCounter {
+ public:
+  static constexpr size_t kStripes = 16;
+
+  void Add(uint64_t n = 1) {
+    stripes_[ThisThreadStripe()].v.fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t load() const {
+    uint64_t sum = 0;
+    for (const Stripe& s : stripes_) sum += s.v.load(std::memory_order_relaxed);
+    return sum;
+  }
+  void Reset() {
+    for (Stripe& s : stripes_) s.v.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  struct alignas(64) Stripe {
+    std::atomic<uint64_t> v{0};
+  };
+
+  static size_t ThisThreadStripe() {
+    static std::atomic<uint32_t> next{0};
+    thread_local const size_t stripe =
+        next.fetch_add(1, std::memory_order_relaxed) % kStripes;
+    return stripe;
+  }
+
+  std::array<Stripe, kStripes> stripes_;
 };
 
 }  // namespace corm

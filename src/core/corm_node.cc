@@ -27,7 +27,8 @@ CormNode::CormNode(CormConfig config)
       classes_(alloc::SizeClassTable::Default()),
       rpc_queue_(/*ring_capacity_pow2=*/1024,
                  /*num_rings=*/std::max(config.num_workers, 1)),
-      stat_shards_(static_cast<size_t>(std::max(config.num_workers, 1)) + 1),
+      stat_shards_(static_cast<size_t>(std::max(config.num_workers, 1)) + 1 +
+                   kClientStatShards),
       directory_(config.dir_shards) {
   CORM_CHECK_GT(config_.num_workers, 0);
   CORM_CHECK_LE(config_.object_id_bits, 16);

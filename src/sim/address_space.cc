@@ -11,8 +11,8 @@ namespace corm::sim {
 AddressSpace::~AddressSpace() {
   // Drop page-table references so PhysicalMemory accounting stays balanced
   // when address spaces are torn down in tests.
-  for (const auto& [page, frame] : page_table_) {
-    phys_->Unref(frame);
+  for (const auto& [page, entry] : page_table_) {
+    phys_->Unref(entry.frame);
   }
 }
 
@@ -59,7 +59,8 @@ Status AddressSpace::MapFresh(VAddr base, size_t npages) {
     VAddr page = base + i * kVPageSize;
     CORM_CHECK(page_table_.find(page) == page_table_.end())
         << "MapFresh over an existing mapping at " << page;
-    page_table_[page] = frames[i];  // AllocFrame's ref becomes the PT ref
+    // AllocFrame's ref becomes the PT ref.
+    page_table_[page] = {frames[i], phys_->FrameData(frames[i])};
   }
   return Status::OK();
 }
@@ -76,7 +77,8 @@ Status AddressSpace::MapFreshContiguous(VAddr base, size_t npages) {
     VAddr page = base + i * kVPageSize;
     CORM_CHECK(page_table_.find(page) == page_table_.end())
         << "MapFreshContiguous over an existing mapping at " << page;
-    page_table_[page] = (*frames)[i];  // the alloc ref becomes the PT ref
+    // The alloc ref becomes the PT ref.
+    page_table_[page] = {(*frames)[i], phys_->FrameData((*frames)[i])};
   }
   return Status::OK();
 }
@@ -90,8 +92,7 @@ Status AddressSpace::MapFrames(VAddr base, const std::vector<FrameId>& frames) {
     VAddr page = base + i * kVPageSize;
     CORM_CHECK(page_table_.find(page) == page_table_.end())
         << "MapFrames over an existing mapping";
-    phys_->Ref(frames[i]);
-    page_table_[page] = frames[i];
+    page_table_[page] = {frames[i], phys_->Ref(frames[i])};
   }
   return Status::OK();
 }
@@ -113,12 +114,12 @@ Status AddressSpace::Remap(VAddr base, VAddr target, size_t npages) {
     for (size_t i = 0; i < npages; ++i) {
       VAddr src_page = base + i * kVPageSize;
       VAddr dst_page = target + i * kVPageSize;
-      FrameId old_frame = page_table_[src_page];
-      FrameId new_frame = page_table_[dst_page];
-      if (old_frame == new_frame) continue;
-      phys_->Ref(new_frame);    // PT ref for the new mapping
-      phys_->Unref(old_frame);  // old PT ref dropped
-      page_table_[src_page] = new_frame;
+      PageEntry& src = page_table_[src_page];
+      const FrameId new_frame = page_table_[dst_page].frame;
+      if (src.frame == new_frame) continue;
+      uint8_t* data = phys_->Ref(new_frame);  // PT ref for the new mapping
+      phys_->Unref(src.frame);                // old PT ref dropped
+      src = {new_frame, data};
       changed.push_back(src_page);
     }
   }
@@ -139,7 +140,7 @@ Status AddressSpace::Unmap(VAddr base, size_t npages) {
       if (it == page_table_.end()) {
         return Status::InvalidArgument("Unmap: page not mapped");
       }
-      phys_->Unref(it->second);
+      phys_->Unref(it->second.frame);
       page_table_.erase(it);
       changed.push_back(page);
     }
@@ -154,21 +155,18 @@ Result<FrameId> AddressSpace::TranslatePage(VAddr addr) const {
   if (it == page_table_.end()) {
     return Status::NotFound("page not mapped");
   }
-  return it->second;
+  return it->second.frame;
 }
 
 uint8_t* AddressSpace::TranslatePtr(VAddr addr) const {
-  // The page-table lock is held across the frame dereference: Remap/Unmap
-  // drop their frame references under the same lock, so a frame resolved
-  // here cannot die before FrameData returns. (Without this, a translate
-  // racing a compaction remap could look up a frame id, lose the CPU, and
-  // call FrameData on a frame whose last reference was just dropped —
-  // the replicated-log applier retries kCompacting objects persistently
-  // and hits that window reliably.)
+  // The entry's data pointer is read under the page-table lock, and the
+  // entry pins its frame until Remap/Unmap drops that pin under the same
+  // lock, so the frame is live when the pointer is returned. No frame-pool
+  // lock is taken.
   LockGuard<Mutex> lock(mu_);
   auto it = page_table_.find(PageBase(addr));
   if (it == page_table_.end()) return nullptr;
-  return phys_->FrameData(it->second) + PageOffset(addr);
+  return it->second.data + PageOffset(addr);
 }
 
 Status AddressSpace::ReadVirtual(VAddr addr, void* out, size_t size) const {

@@ -94,9 +94,10 @@ class AddressSpace {
   Result<FrameId> TranslatePage(VAddr addr) const;
 
   // Direct byte pointer for CPU load/store at `addr`. Returns nullptr for
-  // unmapped addresses. The pointer is valid until the page is remapped or
-  // unmapped (callers on hot paths cache it per block and are invalidated
-  // by CoRM's own block ownership protocol).
+  // unmapped addresses. Takes only the page-table lock: the pointer comes
+  // from the page-table entry, not the frame pool. It is valid until the
+  // page is remapped or unmapped (callers on hot paths cache it per block
+  // and are invalidated by CoRM's own block ownership protocol).
   uint8_t* TranslatePtr(VAddr addr) const;
 
   // Copies `size` bytes crossing page boundaries through translation.
@@ -119,11 +120,19 @@ class AddressSpace {
 
   PhysicalMemory* const phys_;
 
+  // One page-table entry: the frame it pins and that frame's bytes (the
+  // pointer PhysicalMemory::Ref returned), so translation never goes back
+  // to the frame pool.
+  struct PageEntry {
+    FrameId frame = kInvalidFrame;
+    uint8_t* data = nullptr;
+  };
+
   // Substrate lock (rank kSubstrate: always a leaf, models the kernel's
   // mmap_lock). Annotated for clang thread-safety analysis.
   mutable Mutex mu_;
-  std::unordered_map<VAddr, FrameId> page_table_
-      GUARDED_BY(mu_);  // vpage base -> frame
+  std::unordered_map<VAddr, PageEntry> page_table_
+      GUARDED_BY(mu_);  // vpage base -> entry
   // Virtual allocator state: bump pointer + freelist of ranges by size.
   VAddr next_vaddr_ GUARDED_BY(mu_) = kBase;
   std::multimap<size_t, VAddr> free_ranges_ GUARDED_BY(mu_);  // npages -> base

@@ -42,11 +42,12 @@ Result<FrameId> PhysicalMemory::AllocFrame() {
   return (*ids)[0];
 }
 
-void PhysicalMemory::Ref(FrameId id) {
+uint8_t* PhysicalMemory::Ref(FrameId id) {
   LockGuard<Mutex> lock(mu_);
   CORM_CHECK_LT(id, frames_.size());
   CORM_CHECK_GT(frames_[id].refcount, 0u) << "Ref on a free frame";
   ++frames_[id].refcount;
+  return frames_[id].slab.get() + frames_[id].offset;
 }
 
 void PhysicalMemory::Unref(FrameId id) {

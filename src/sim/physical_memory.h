@@ -30,8 +30,11 @@ inline constexpr FrameId kInvalidFrame = UINT32_MAX;
 
 inline constexpr size_t kFrameSize = kPageSize;  // 4 KiB
 
-// Thread-safe frame pool. Frame data pointers are stable for the lifetime of
-// the pool (frames are never relocated, only recycled after refcount 0).
+// Thread-safe frame pool. A frame's data pointer is stable while the frame
+// holds a reference (frames are never relocated, only recycled after
+// refcount 0), so every holder of a pin — a page-table entry, an RNIC MTT
+// entry — keeps the pointer Ref() returned beside the frame id and reaches
+// the bytes without coming back here: the data path never takes mu_.
 class PhysicalMemory {
  public:
   // `max_frames` caps the simulated DRAM; 0 means unlimited.
@@ -50,13 +53,15 @@ class PhysicalMemory {
   // retarget whole blocks, preserving linearity.
   Result<std::vector<FrameId>> AllocContiguousFrames(size_t n);
 
-  // Increments the pin count of `id`.
-  void Ref(FrameId id);
+  // Increments the pin count of `id` and returns the frame's 4 KiB of
+  // data, valid until the matching Unref.
+  uint8_t* Ref(FrameId id);
 
   // Decrements the pin count; recycles the frame when it reaches zero.
   void Unref(FrameId id);
 
-  // Direct pointer to the frame's 4 KiB of data.
+  // Direct pointer to the frame's 4 KiB of data (control path: allocation
+  // and mapping; pin holders use the pointer Ref returned).
   uint8_t* FrameData(FrameId id);
 
   // Current refcount (testing / accounting).
@@ -78,9 +83,10 @@ class PhysicalMemory {
 
   const size_t max_frames_;
 
-  // Substrate lock (rank kSubstrate: always a leaf). Frame *data* pointers
-  // handed out by FrameData are deliberately not guarded: they model DMA
-  // targets whose races are validated by the object-layout seqlock.
+  // Substrate lock (rank kSubstrate: always a leaf) over the frame table and
+  // refcounts, taken by allocation, pinning and unpinning only. Frame
+  // *data* is deliberately not guarded: it models DMA targets whose races
+  // are validated by the object-layout seqlock.
   mutable Mutex mu_;
   std::vector<Frame> frames_ GUARDED_BY(mu_);
   std::vector<FrameId> free_list_ GUARDED_BY(mu_);

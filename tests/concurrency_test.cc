@@ -227,5 +227,64 @@ TEST(ConcurrencyTest, ReregWindowBreaksConcurrentReaders) {
   EXPECT_TRUE(ctx->DirectRead(*addr, buf.data(), 56).ok());
 }
 
+// The per-verb RNIC counters are striped across cachelines and the
+// keyed-lookup counters land on per-context client shards; neither may
+// lose an increment. T threads x N one-sided reads count exactly T*N, and
+// the node's index counters equal the sum over every context's stats.
+TEST(ConcurrencyTest, StripedCountersStayExact) {
+  constexpr int kThreads = 6;  // more than the client shards' divisor
+  constexpr int kReads = 2000;
+  constexpr uint64_t kKeys = 64;
+  CormNode node(Config());
+  auto loader = Context::Create(&node);
+  std::vector<uint8_t> value(32, 0x5A);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(loader->Put(k, value.data(), value.size()).ok());
+  }
+  auto addr = loader->Alloc(56);
+  ASSERT_TRUE(addr.ok());
+
+  std::vector<std::unique_ptr<Context>> ctxs;
+  for (int t = 0; t < kThreads; ++t) ctxs.push_back(Context::Create(&node));
+  rdma::Rnic* rnic = node.rnic();
+  const uint64_t reads_before = rnic->stats().reads.load();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      rdma::QueuePair qp(rnic);
+      uint8_t buf[56];
+      for (int i = 0; i < kReads; ++i) {
+        ASSERT_TRUE(qp.Read(addr->r_key, addr->vaddr, buf, sizeof(buf)).ok());
+      }
+      std::vector<uint8_t> out(value.size());
+      for (int i = 0; i < kReads; ++i) {
+        ASSERT_TRUE(ctxs[t]->Get(i % kKeys, out.data(), out.size()).ok());
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  // Gets issue reads of their own; count them through the contexts' QPs.
+  uint64_t ctx_reads = 0;
+  for (const auto& c : ctxs) ctx_reads += c->queue_pair()->reads_issued();
+  EXPECT_EQ(rnic->stats().reads.load() - reads_before,
+            uint64_t{kThreads} * kReads + ctx_reads);
+
+  uint64_t lookups = loader->stats().index_lookups;
+  uint64_t hits = loader->stats().index_one_sided_hits;
+  for (const auto& c : ctxs) {
+    EXPECT_EQ(c->stats().index_lookups, uint64_t{kReads});
+    lookups += c->stats().index_lookups;
+    hits += c->stats().index_one_sided_hits;
+  }
+  EXPECT_EQ(node.stats().index_lookups, lookups);
+  EXPECT_EQ(node.stats().index_one_sided_hits, hits);
+
+  EXPECT_GT(rnic->stats().mtt_cache_hits.load(), 0u);
+  rnic->ResetMttCache();
+  EXPECT_EQ(rnic->stats().mtt_cache_hits.load(), 0u);
+  EXPECT_EQ(rnic->stats().mtt_cache_misses.load(), 0u);
+}
+
 }  // namespace
 }  // namespace corm::core

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -218,6 +220,107 @@ TEST_F(RnicTest, DeregisterInvalidatesKey) {
   QueuePair qp(&rnic_);
   char buf[4];
   EXPECT_TRUE(qp.Read(keys->r_key, a, buf, 4).status().IsQpBroken());
+}
+
+// A key names one registration for good: once deregistered it keeps
+// breaking the QP however often its MPT slot is recycled — through every
+// tag and past the slot's retirement — and never reads the bytes of the
+// region that took the slot.
+TEST_F(RnicTest, DeregisteredKeyStaysDeadAcrossSlotReuse) {
+  VAddr a = MapPages(1);
+  VAddr b = MapPages(1);
+  const uint64_t a_bytes = 0xAAAAAAAAAAAAAAAAULL;
+  const uint64_t b_bytes = 0xBBBBBBBBBBBBBBBBULL;
+  ASSERT_TRUE(space_.WriteVirtual(a, &a_bytes, 8).ok());
+  ASSERT_TRUE(space_.WriteVirtual(b, &b_bytes, 8).ok());
+  auto dead = rnic_.RegisterMemory(a, 1, /*odp=*/false);
+  ASSERT_TRUE(dead.ok());
+  ASSERT_TRUE(rnic_.DeregisterMemory(dead->r_key).ok());
+
+  QueuePair qp(&rnic_);
+  std::set<RKey> issued = {dead->r_key};
+  std::vector<RKey> dead_keys = {dead->r_key};
+  for (int round = 0; round < 600; ++round) {
+    auto live = rnic_.RegisterMemory(b, 1, /*odp=*/false);
+    ASSERT_TRUE(live.ok());
+    ASSERT_NE(live->r_key, 0u);
+    ASSERT_TRUE(issued.insert(live->r_key).second) << "key issued twice";
+    for (RKey key : {dead->r_key, dead_keys.back()}) {
+      uint64_t out = 0;
+      auto st = qp.Read(key, b, &out, 8);
+      ASSERT_TRUE(st.status().IsQpBroken()) << "round " << round;
+      EXPECT_EQ(out, 0u);
+      EXPECT_EQ(qp.state(), QueuePair::State::kError);
+      qp.Reconnect();
+    }
+    uint64_t out = 0;
+    ASSERT_TRUE(qp.Read(live->r_key, b, &out, 8).ok());
+    EXPECT_EQ(out, b_bytes);
+    ASSERT_TRUE(rnic_.DeregisterMemory(live->r_key).ok());
+    dead_keys.push_back(live->r_key);
+  }
+  // Every key ever issued stays dead; the control plane agrees.
+  for (RKey key : dead_keys) {
+    uint64_t out = 0;
+    ASSERT_TRUE(qp.Read(key, b, &out, 8).status().IsQpBroken());
+    qp.Reconnect();
+    EXPECT_EQ(rnic_.DeregisterMemory(key).code(), StatusCode::kNotFound);
+  }
+  EXPECT_EQ(phys_.RefCount(*space_.TranslatePage(b)), 1u);  // PT ref only
+}
+
+// Readers race DeregisterMemory on an ODP region whose entries were just
+// invalidated, so a verb may be about to fault a frame back in when the
+// key dies. The verb must fail instead: a read issued after Deregister
+// returned never succeeds, and no pin outlives the region.
+TEST_F(RnicTest, VerbsRacingDeregisterLeaveNoPins) {
+  constexpr int kReaders = 3;
+  for (int round = 0; round < 200; ++round) {
+    VAddr a = MapPages(1);
+    VAddr b = MapPages(1);
+    auto keys = rnic_.RegisterMemory(a, 1, /*odp=*/true);
+    ASSERT_TRUE(keys.ok());
+    ASSERT_TRUE(space_.Remap(a, b, 1).ok());  // invalidates a's MTT entry
+    const sim::FrameId frame = *space_.TranslatePage(b);
+
+    std::atomic<int> started{0};
+    std::atomic<bool> dead{false};
+    std::atomic<bool> stop{false};
+    std::atomic<int> late_successes{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        QueuePair qp(&rnic_);
+        started.fetch_add(1);
+        while (!stop.load()) {
+          const bool after = dead.load();
+          uint64_t out = 0;
+          auto st = qp.Read(keys->r_key, a, &out, 8);
+          if (st.ok()) {
+            if (after) late_successes.fetch_add(1);
+          } else {
+            EXPECT_TRUE(st.status().IsQpBroken()) << st.status();
+            qp.Reconnect();
+          }
+        }
+      });
+    }
+    while (started.load() < kReaders) std::this_thread::yield();
+    ASSERT_TRUE(rnic_.DeregisterMemory(keys->r_key).ok());
+    dead.store(true);
+    for (int spins = 0; spins < 50; ++spins) std::this_thread::yield();
+    stop.store(true);
+    for (auto& t : readers) t.join();
+
+    EXPECT_EQ(late_successes.load(), 0) << "round " << round;
+    // Both page-table entries (a remapped onto b, and b) and nothing else.
+    EXPECT_EQ(phys_.RefCount(frame), 2u) << "round " << round;
+    ASSERT_TRUE(space_.Unmap(a, 1).ok());
+    ASSERT_TRUE(space_.Unmap(b, 1).ok());
+    ASSERT_EQ(phys_.live_frames(), 0u) << "leaked pin in round " << round;
+    space_.ReleaseRange(a, 1);
+    space_.ReleaseRange(b, 1);
+  }
 }
 
 TEST_F(RnicTest, MttPinsFrames) {
