@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -107,6 +108,48 @@ TEST(IndexTest, KeyedPutGetDelRoundTrip) {
   EXPECT_EQ(ctx->Get(7, out.data(), kValue).code(), StatusCode::kNotFound);
 
   EXPECT_GE(ctx->stats().index_lookups, 5u);
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// --- A Put rides out another writer's lock. --------------------------------
+
+TEST(IndexTest, PutWaitsOutAWriteLockHeldPastTheServerSpin) {
+  CormNode node(BaseConfig());
+  auto ctx = Context::Create(&node);
+  std::vector<uint8_t> buf(kValue), out(kValue);
+  workload::FillValue(42, buf.data(), kValue);
+  auto addr = ctx->Put(42, buf.data(), kValue);
+  ASSERT_TRUE(addr.ok()) << addr.status();
+
+  // Hold the object's write lock the way a serving worker does while it
+  // writes, as if that worker were descheduled mid-write far longer than
+  // the other worker's bounded spin on a locked header (~1 ms).
+  std::atomic_ref<uint64_t> header(*reinterpret_cast<uint64_t*>(
+      node.rnic()->address_space()->TranslatePtr(addr->vaddr)));
+  const uint64_t unlocked = header.load();
+  core::ObjectHeader locked = core::ObjectHeader::Unpack(unlocked);
+  locked.lock = core::LockState::kWriteLocked;
+  header.store(locked.Pack());
+
+  std::atomic<bool> put_done{false};
+  Status put_status;
+  std::thread writer([&] {
+    std::vector<uint8_t> value(kValue);
+    workload::FillValue(43, value.data(), kValue);
+    put_status = ctx->Put(42, value.data(), kValue).status();
+    put_done.store(true);
+  });
+  // Far past the spin even on a loaded host, so the Put must back off.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // The write is transient, not failed: the Put is still backing off.
+  EXPECT_FALSE(put_done.load());
+  header.store(unlocked);
+  writer.join();
+
+  ASSERT_TRUE(put_status.ok()) << put_status;
+  ASSERT_TRUE(ctx->Get(42, out.data(), kValue).ok());
+  EXPECT_TRUE(workload::CheckValue(43, out.data(), kValue));
+  EXPECT_GE(ctx->stats().retries, 1u);
   EXPECT_TRUE(node.Audit().ok());
 }
 
