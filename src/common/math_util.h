@@ -4,19 +4,26 @@
 #ifndef CORM_COMMON_MATH_UTIL_H_
 #define CORM_COMMON_MATH_UTIL_H_
 
+#include <math.h>  // lgamma_r
+
 #include <cmath>
 #include <cstdint>
 #include <limits>
 
 namespace corm {
 
+// ln n!. lgamma_r, not std::lgamma: std::lgamma writes the global
+// `signgam`, a data race when two nodes' compaction planners run at once.
+inline double LogFactorial(uint64_t n) {
+  int sign;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
+}
+
 // ln C(n, k); returns -inf when k > n (C = 0).
 inline double LogBinomial(uint64_t n, uint64_t k) {
   if (k > n) return -std::numeric_limits<double>::infinity();
   if (k == 0 || k == n) return 0.0;
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return LogFactorial(n) - LogFactorial(k) - LogFactorial(n - k);
 }
 
 // C(n1, k) / C(n2, k) computed stably in log space. Returns 0 when the

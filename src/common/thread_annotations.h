@@ -14,7 +14,7 @@
 //   * Private helpers that expect the caller to hold a lock say REQUIRES.
 //   * Lock-free code the analyzer cannot prove (seqlock readers, Vyukov
 //     cell hand-off, refcounted teardown) carries NO_THREAD_SAFETY_ANALYSIS
-//     with a one-line proof sketch — enforced by tools/lint.sh rule 6.
+//     with a one-line proof sketch — enforced by corm-tidy (rule 6).
 
 #ifndef CORM_COMMON_THREAD_ANNOTATIONS_H_
 #define CORM_COMMON_THREAD_ANNOTATIONS_H_
@@ -85,7 +85,7 @@
 #define RETURN_CAPABILITY(x) CORM_TS_ATTRIBUTE__(lock_returned(x))
 
 // Escape hatch for code the analyzer cannot model. Every use MUST carry a
-// one-line proof sketch on the same or preceding line (lint.sh rule 6).
+// one-line proof sketch on the same or preceding line (corm-tidy rule 6).
 #define NO_THREAD_SAFETY_ANALYSIS \
   CORM_TS_ATTRIBUTE__(no_thread_safety_analysis)
 

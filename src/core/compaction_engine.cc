@@ -1,5 +1,5 @@
 // Compaction engine phase handlers (see compaction_engine.h for the state
-// machine and ownership notes). lint.sh rule 8 holds this file to a stricter
+// machine and ownership notes). corm-tidy rule 8 holds this file to a stricter
 // standard than the rest of the tree: no unbounded waits of any kind — every
 // wait is either a non-blocking poll re-entered on the next slice or a
 // Deadline-bounded loop that aborts the run with kTimeout.

@@ -33,9 +33,9 @@
 #include "core/object_layout.h"
 #include "core/vaddr_tracker.h"
 #include "index/index_table.h"
+#include "rdma/repl_log_ring.h"
 #include "rdma/rnic.h"
 #include "rdma/rpc_transport.h"
-#include "rdma/write_ring.h"
 #include "sim/address_space.h"
 #include "sim/latency_model.h"
 #include "sim/mem_file.h"

@@ -12,9 +12,9 @@
 // serving) and feeds per-node miss counters; consecutive misses escalate
 // a node from alive to suspect to dead, and a single successful probe (a
 // lease renewal) revives it. Placement (PickNode), cluster-wide compaction
-// and the replication/migration layers consult the detector instead of
-// polling the raw reachability flag, so suspicion spreads without every
-// caller re-probing a dead node.
+// and the replication layer consult the detector instead of polling the
+// raw reachability flag, so suspicion spreads without every caller
+// re-probing a dead node.
 
 #ifndef CORM_DSM_CLUSTER_H_
 #define CORM_DSM_CLUSTER_H_

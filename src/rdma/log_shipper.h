@@ -12,8 +12,7 @@
 // whose memory survived a crash/restart.
 //
 // Thread ownership: a shipper belongs to the single thread driving its
-// ReplicatedContext (same discipline as WriteRingProducer); nothing here is
-// locked.
+// ReplicatedContext; nothing here is locked.
 
 #ifndef CORM_RDMA_LOG_SHIPPER_H_
 #define CORM_RDMA_LOG_SHIPPER_H_

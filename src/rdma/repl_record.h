@@ -1,8 +1,8 @@
 // Wire formats for the one-sided replicated log (DESIGN.md §11).
 //
 // A primary replicates a write by RDMA-WRITEing one *log record* into each
-// backup's ingress ring (ReplLogRing below lives in write_ring.h). The
-// record is self-describing and self-validating: a magic word, the shipper's
+// backup's ingress ring (ReplLogRing in repl_log_ring.h). The record is
+// self-describing and self-validating: a magic word, the shipper's
 // epoch and sequence number, the object version, the target address as
 // opaque bytes (this layer must not depend on core/), and an FNV-1a
 // checksum over header + payload. A backup only applies a record whose

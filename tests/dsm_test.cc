@@ -9,7 +9,6 @@
 #include "core/object_layout.h"
 #include "dsm/cluster.h"
 #include "dsm/dsm_context.h"
-#include "dsm/migration.h"
 #include "dsm/replication.h"
 
 namespace corm::dsm {
@@ -239,86 +238,6 @@ TEST(ReplicationTest, ReplicasSurviveCompactionOnEveryNode) {
   }
 }
 
-// --- Migration / rebalancing -------------------------------------------------
-
-TEST(MigrationTest, MigrateMovesObjectAndData) {
-  Cluster cluster(SmallCluster(2));
-  Migrator migrator(&cluster);
-  auto* ctx = migrator.dsm();
-  auto addr = ctx->AllocOn(0, 100);
-  ASSERT_TRUE(addr.ok());
-  std::vector<uint8_t> in(100), out(100);
-  PatternFill(11, in.data(), 100);
-  ASSERT_TRUE(ctx->Write(&*addr, in.data(), 100).ok());
-
-  ASSERT_TRUE(migrator.Migrate(&*addr, 100, 1).ok());
-  EXPECT_EQ(NodeOf(*addr), 1);
-  ASSERT_TRUE(ctx->DirectRead(*addr, out.data(), 100).ok());
-  EXPECT_EQ(in, out);
-  EXPECT_EQ(migrator.objects_migrated(), 1u);
-  EXPECT_EQ(migrator.bytes_migrated(), 100u);
-  // Source memory fully released (the migrated object was node 0's only
-  // one, so its block went back to the OS).
-  EXPECT_EQ(cluster.node(0)->ActiveMemoryBytes(), 0u);
-}
-
-TEST(MigrationTest, MigrateToSameNodeIsNoop) {
-  Cluster cluster(SmallCluster(2));
-  Migrator migrator(&cluster);
-  auto addr = migrator.dsm()->AllocOn(0, 56);
-  ASSERT_TRUE(addr.ok());
-  const GlobalAddr before = *addr;
-  ASSERT_TRUE(migrator.Migrate(&*addr, 56, 0).ok());
-  EXPECT_EQ(addr->vaddr, before.vaddr);
-  EXPECT_EQ(migrator.objects_migrated(), 0u);
-}
-
-TEST(MigrationTest, MigrateToDeadNodeFailsObjectIntact) {
-  Cluster cluster(SmallCluster(2));
-  Migrator migrator(&cluster);
-  auto* ctx = migrator.dsm();
-  auto addr = ctx->AllocOn(0, 56);
-  ASSERT_TRUE(addr.ok());
-  std::vector<uint8_t> in(56), out(56);
-  PatternFill(3, in.data(), 56);
-  ASSERT_TRUE(ctx->Write(&*addr, in.data(), 56).ok());
-  cluster.KillNode(1);
-  EXPECT_EQ(migrator.Migrate(&*addr, 56, 1).code(),
-            StatusCode::kNetworkError);
-  // The object is untouched at the source.
-  ASSERT_TRUE(ctx->DirectRead(*addr, out.data(), 56).ok());
-  EXPECT_EQ(in, out);
-}
-
-TEST(MigrationTest, RebalanceEvensOutSkewedCluster) {
-  Cluster cluster(SmallCluster(3));
-  Migrator migrator(&cluster);
-  auto* ctx = migrator.dsm();
-  // All objects on node 0: maximal imbalance.
-  std::vector<GlobalAddr> objects;
-  std::vector<uint32_t> sizes;
-  std::vector<uint8_t> buf(120);
-  for (int i = 0; i < 600; ++i) {
-    auto addr = ctx->AllocOn(0, 120);
-    ASSERT_TRUE(addr.ok());
-    PatternFill(i, buf.data(), 120);
-    ASSERT_TRUE(ctx->Write(&*addr, buf.data(), 120).ok());
-    objects.push_back(*addr);
-    sizes.push_back(120);
-  }
-  Rebalancer rebalancer(&cluster, &migrator);
-  auto report = rebalancer.Rebalance(&objects, sizes, 1.10);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GT(report->objects_migrated, 0u);
-  EXPECT_LT(report->imbalance_after, report->imbalance_before);
-  EXPECT_LT(report->imbalance_after, 1.5);
-  // Every object still readable with intact data wherever it landed.
-  for (size_t i = 0; i < objects.size(); ++i) {
-    ASSERT_TRUE(ctx->ReadWithRecovery(&objects[i], buf.data(), 120).ok());
-    EXPECT_TRUE(PatternCheck(i, buf.data(), 120)) << i;
-  }
-}
-
 TEST(ReplicationTest, AllocFailsWithoutEnoughLiveNodes) {
   Cluster cluster(SmallCluster(2));
   ReplicatedContext rctx(&cluster, 2);
@@ -326,14 +245,12 @@ TEST(ReplicationTest, AllocFailsWithoutEnoughLiveNodes) {
   EXPECT_EQ(rctx.Alloc(56).status().code(), StatusCode::kNetworkError);
 }
 
-// Randomized cluster churn: allocations, frees, writes, migrations,
-// node-local compactions and transient node failures interleave; every
-// live object must stay intact and routable throughout.
+// Randomized cluster churn: allocations, frees, writes, node-local
+// compactions and transient node failures interleave; every live object
+// must stay intact and routable throughout.
 TEST(DsmChurnTest, RandomizedOpsPreserveEveryObject) {
   Cluster cluster(SmallCluster(3));
-  Migrator migrator(&cluster);
-  auto* ctx = migrator.dsm();
-  Rebalancer rebalancer(&cluster, &migrator);
+  DsmContext ctx(&cluster);
   Rng rng(2026);
 
   struct LiveObj {
@@ -350,27 +267,18 @@ TEST(DsmChurnTest, RandomizedOpsPreserveEveryObject) {
     const double dice = rng.NextDouble();
     if (dice < 0.45 || live.empty()) {
       const uint32_t size = 24u << rng.Uniform(4);  // 24..192
-      auto addr = ctx->Alloc(size);
+      auto addr = ctx.Alloc(size);
       if (!addr.ok()) continue;  // placement can fail while a node is dead
       PatternFill(next_pattern, buf.data(), size);
-      if (ctx->Write(&*addr, buf.data(), size).ok()) {
+      if (ctx.Write(&*addr, buf.data(), size).ok()) {
         live.push_back({*addr, next_pattern++, size});
       }
     } else if (dice < 0.75) {
       const size_t victim = rng.Uniform(live.size());
       if (NodeOf(live[victim].addr) == dead_node) continue;
-      ASSERT_TRUE(ctx->Free(&live[victim].addr).ok());
+      ASSERT_TRUE(ctx.Free(&live[victim].addr).ok());
       live[victim] = live.back();
       live.pop_back();
-    } else if (dice < 0.85) {
-      const size_t idx = rng.Uniform(live.size());
-      const int target = static_cast<int>(rng.Uniform(3));
-      if (target == dead_node || NodeOf(live[idx].addr) == dead_node) {
-        continue;
-      }
-      Status st =
-          migrator.Migrate(&live[idx].addr, live[idx].size, target);
-      ASSERT_TRUE(st.ok() || st.code() == StatusCode::kNetworkError) << st;
     } else if (dice < 0.95) {
       ASSERT_TRUE(cluster.CompactAllIfFragmented().ok());
     } else if (dead_node < 0) {
@@ -387,7 +295,7 @@ TEST(DsmChurnTest, RandomizedOpsPreserveEveryObject) {
   ASSERT_TRUE(cluster.CompactAllIfFragmented().ok());
   for (const LiveObj& obj : live) {
     GlobalAddr addr = obj.addr;
-    ASSERT_TRUE(ctx->ReadWithRecovery(&addr, buf.data(), obj.size).ok());
+    ASSERT_TRUE(ctx.ReadWithRecovery(&addr, buf.data(), obj.size).ok());
     EXPECT_TRUE(PatternCheck(obj.pattern, buf.data(), obj.size));
   }
 }

@@ -1,7 +1,9 @@
 // corm-hotpath
 // corm-hotpath-alloc fixture: explicit allocation calls, implicit container
 // growth, and std::function construction must all fire inside a file that
-// carries the hotpath marker above.
+// carries the hotpath marker above. An allocating `new` fires corm-raw-new
+// as well:
+// EXPECT-LINE 22: corm-raw-new
 #include <functional>
 #include <string>
 #include <vector>
@@ -14,6 +16,10 @@ struct Request {
 void HandleOp(Request* req, int v, const char* suffix) {
   auto buf = std::make_unique<char[]>(64);  // EXPECT: corm-hotpath-alloc
   void* raw = malloc(64);                   // EXPECT: corm-hotpath-alloc
+  void* zeroed = calloc(8, 8);              // EXPECT: corm-hotpath-alloc
+  raw = realloc(raw, 128);                  // EXPECT: corm-hotpath-alloc
+  auto shared = std::make_shared<int>(v);   // EXPECT: corm-hotpath-alloc
+  Request* extra = new Request();           // EXPECT: corm-hotpath-alloc
   (void)buf;
   (void)raw;
 

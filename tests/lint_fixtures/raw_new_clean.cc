@@ -25,3 +25,17 @@ Pod* ConstructAt(void* buf) {
 const char* Describe() {
   return "new Pod() and delete p inside a string literal";
 }
+
+// Member names that merely start with `new`/`delete` are identifiers, not
+// keywords; the old grep rule read `config_.delete_fraction` as a delete.
+struct Knobs {
+  double delete_fraction = 0.1;
+  unsigned new_size = 0;
+};
+
+double DeleteShare(const Knobs& cfg) { return cfg.delete_fraction; }
+
+unsigned Grow(Knobs* x) {
+  x->new_size = x->new_size * 2;
+  return x->new_size;
+}

@@ -29,3 +29,15 @@ void DestroyMany(Foo* f) {
   delete[]  // EXPECT: corm-raw-new
       f;
 }
+
+Foo* MakeBraced() {
+  return new Foo{};  // EXPECT: corm-raw-new
+}
+
+Foo* MakeQualified() {
+  return new ::Foo();  // EXPECT: corm-raw-new
+}
+
+void DestroyThroughHandle(Foo** handle) {
+  delete *handle;  // EXPECT: corm-raw-new
+}

@@ -4,10 +4,9 @@
 Four subcommands:
 
   fixtures <corm-tidy> <fixture-dir>
-      Runs corm-tidy (token engine, --fallback-only, so results are
-      identical on every host) over each fixture and asserts the emitted
-      diagnostics match the fixture's expectations EXACTLY — no missing
-      findings, no extras. Expectations are written in the fixtures:
+      Runs corm-tidy over each fixture and asserts the emitted diagnostics
+      match the fixture's expectations EXACTLY — no missing findings, no
+      extras. Expectations are written in the fixtures:
 
         code;  // EXPECT: <check-id>       same-line marker
         // EXPECT-LINE <n>: <check-id>     header marker, for fixtures where
@@ -77,7 +76,7 @@ def run_tidy(tidy: str, args):
 
 
 def diags_for(tidy: str, fixture: Path, extra_args=()):
-    proc = run_tidy(tidy, ["--fallback-only", *extra_args, str(fixture)])
+    proc = run_tidy(tidy, [*extra_args, str(fixture)])
     found = []
     for line in proc.stdout.splitlines():
         m = DIAG.match(line)

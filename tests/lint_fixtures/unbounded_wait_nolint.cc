@@ -1,5 +1,5 @@
 // corm-unbounded-wait fixture: suppressed sites. Both the canonical id and
-// the legacy NOLINT(corm-spin-wait) alias from lint.sh rule 5 must work.
+// the legacy NOLINT(corm-spin-wait) alias from rule 5 must work.
 #include <atomic>
 
 void JoinBarrier(std::atomic<int>& arrived, int parties) {

@@ -167,9 +167,13 @@ TEST(ReplLogTest, AckDelayStallsButEveryWriteStillAcks) {
 
 TEST(ReplLogTest, PausedBackupTimesOutWithoutAdvancingCommitted) {
   Cluster cluster(SmallCluster(3));
+  // Only the write against the paused backup gets the short quorum
+  // deadline; the others keep the default, so a busy host cannot time them
+  // out. The version lives in the handle, so both contexts can write it.
+  ReplicatedContext rctx(&cluster, 2);
   ReplicationOptions ropts;
   ropts.quorum_deadline_ns = 5'000'000;  // 5 ms: keep the stall short
-  ReplicatedContext rctx(&cluster, 2, core::Context::Options{}, ropts);
+  ReplicatedContext stalled(&cluster, 2, core::Context::Options{}, ropts);
   auto addr = rctx.Alloc(40);
   ASSERT_TRUE(addr.ok());
   std::vector<uint8_t> in(40), out(40);
@@ -183,8 +187,8 @@ TEST(ReplLogTest, PausedBackupTimesOutWithoutAdvancingCommitted) {
   const int backup = NodeOf(addr->replicas[1]);
   cluster.node(backup)->PauseService();
   PatternFill(2, in.data(), 40);
-  EXPECT_EQ(rctx.Write(&*addr, in.data(), 40).code(), StatusCode::kTimeout);
-  EXPECT_EQ(rctx.quorum_timeouts(), 1u);
+  EXPECT_EQ(stalled.Write(&*addr, in.data(), 40).code(), StatusCode::kTimeout);
+  EXPECT_EQ(stalled.quorum_timeouts(), 1u);
   EXPECT_EQ(addr->committed, 1u);  // the uncertain write is NOT acked
 
   // After the backup resumes, the next write draws a *fresh* version (the

@@ -1,13 +1,10 @@
-// corm-tidy: a minimal C++ lexer for the token fallback engine.
+// corm-tidy: a minimal C++ lexer, the base of the linter's token engine.
 //
-// The token engine exists so the linter still produces real diagnostics on
-// hosts without the Clang development headers (the AST engine's dependency).
 // It is deliberately not a parser: it produces a comment- and string-aware
 // token stream with line/column positions, which is exactly what the grep
 // rules lacked — greps cannot tell `delete msg;` from `// delete msg later`
-// or see a `delete` whose operand sits on the next line. Everything type-
-// aware stays in the AST engine; everything here must hold on a lone file
-// with no compilation database.
+// or see a `delete` whose operand sits on the next line. Everything here
+// must hold on a lone file with no compilation database.
 
 #ifndef CORM_TIDY_LEXER_H_
 #define CORM_TIDY_LEXER_H_
@@ -42,9 +39,9 @@ struct LexResult {
 };
 
 // Lexes `text`. Preprocessor directives (including continuation lines) are
-// skipped entirely: macro bodies are the AST engine's problem, and the grep
-// rules never saw them either, so the fallback stays no *noisier* than the
-// greps while becoming strictly more precise on real code.
+// skipped entirely: the grep rules never saw macro bodies either, so the
+// token engine stays no *noisier* than the greps while becoming strictly
+// more precise on real code.
 LexResult Lex(const std::string& text);
 
 }  // namespace corm_tidy

@@ -2,29 +2,22 @@
 //
 // Promotes the historical grep rules (tools/lint.sh rules 1/5/6/7/8) to
 // semantic checks and adds the CoRM-specific corm-remap-hazard analysis no
-// grep can express. Two engines:
-//
-//   ast     Clang LibTooling over compile_commands.json (-p <builddir>);
-//           type-aware allocation checks, sight through macros. Built only
-//           when the Clang dev package is present at configure time.
-//   token   a comment/string-aware C++ token scanner; needs nothing but
-//           the source files. Always built; the engines share NOLINT
-//           handling so suppressions mean the same thing everywhere.
+// grep can express. One engine: a comment/string-aware C++ token scanner
+// that needs nothing but the source files, so a diagnostic is identical on
+// every host.
 //
 // Exit codes: 0 clean, 1 diagnostics reported, 2 usage/environment error.
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "ast_engine.h"
 #include "audits.h"
 #include "call_graph.h"
 #include "lock_order.h"
@@ -41,13 +34,10 @@ namespace fs = std::filesystem;
 struct Options {
   std::vector<std::string> files;     // explicit files
   std::vector<std::string> src_dirs;  // --src (recursive *.h/*.cc)
-  std::string build_dir;              // -p (compilation database)
   std::set<std::string> checks;       // empty = all
   std::string audit_root = ".";       // --root, for --audit
-  bool fallback_only = false;
   bool list_checks = false;
   bool list_hotpath = false;
-  bool print_engine = false;
   bool quiet = false;
   bool no_interproc = false;          // PR-6 per-function analysis only
   bool audit = false;                 // project contract audits, then exit
@@ -57,17 +47,12 @@ struct Options {
 
 int Usage(std::ostream& os, int code) {
   os << "usage: corm-tidy [options] [files...]\n"
-        "  -p <dir>          compilation database directory (enables the\n"
-        "                    AST engine when this binary was built with it)\n"
         "  --src <dir>       lint every *.h/*.cc under <dir> (default:\n"
         "                    src/ when no files are given); repeatable\n"
         "  --checks=a,b      run only the named checks\n"
-        "  --fallback-only   force the token engine even when the AST\n"
-        "                    engine is available (tests both lint paths)\n"
         "  --list-checks     print the check catalog and exit\n"
         "  --list-hotpath    print files carrying the `// corm-hotpath`\n"
         "                    contract marker and exit\n"
-        "  --engine          print the engine that would run (ast|token)\n"
         "  --no-interproc    disable the whole-program call-graph analysis\n"
         "                    (per-function checks only, as before v2)\n"
         "  --audit           run the project contract audits (fault sites,\n"
@@ -85,13 +70,7 @@ int Usage(std::ostream& os, int code) {
 bool ParseArgs(int argc, char** argv, Options* opt, std::string* err) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "-p") {
-      if (++i == argc) {
-        *err = "-p needs a directory";
-        return false;
-      }
-      opt->build_dir = argv[i];
-    } else if (a == "--src") {
+    if (a == "--src") {
       if (++i == argc) {
         *err = "--src needs a directory";
         return false;
@@ -103,8 +82,6 @@ bool ParseArgs(int argc, char** argv, Options* opt, std::string* err) {
       while (std::getline(ss, id, ',')) {
         if (!id.empty()) opt->checks.insert(id);
       }
-    } else if (a == "--fallback-only") {
-      opt->fallback_only = true;
     } else if (a == "--no-interproc") {
       opt->no_interproc = true;
     } else if (a == "--audit") {
@@ -123,8 +100,6 @@ bool ParseArgs(int argc, char** argv, Options* opt, std::string* err) {
       opt->list_checks = true;
     } else if (a == "--list-hotpath") {
       opt->list_hotpath = true;
-    } else if (a == "--engine") {
-      opt->print_engine = true;
     } else if (a == "-q" || a == "--quiet") {
       opt->quiet = true;
     } else if (a == "-h" || a == "--help") {
@@ -215,13 +190,6 @@ int Run(int argc, char** argv) {
   // "exercised by a test" needs the tests) and bypass the lint pipeline.
   if (opt.audit) return RunAudits(opt.audit_root, std::cout);
 
-  const bool use_ast =
-      AstEngineAvailable() && !opt.fallback_only && !opt.build_dir.empty();
-  if (opt.print_engine) {
-    std::cout << (use_ast ? "ast" : "token") << "\n";
-    return 0;
-  }
-
   std::vector<std::string> paths;
   if (!CollectFiles(&opt, &paths, &err)) {
     std::cerr << "corm-tidy: " << err << "\n";
@@ -282,7 +250,6 @@ int Run(int argc, char** argv) {
     LockOrderAnalysis::Run(file_ptrs, cg.get(), &sink);
   }
 
-  // Engine-independent checks: lexical by design, identical on every host.
   for (const auto& f : files) {
     if (CheckEnabled(opt, kCheckUnboundedWait)) CheckUnboundedWait(*f, &sink);
     if (CheckEnabled(opt, kCheckEscapeRationale)) {
@@ -291,39 +258,8 @@ int Run(int argc, char** argv) {
     if (CheckEnabled(opt, kCheckRemapHazard)) {
       CheckRemapHazard(*f, cg.get(), &sink);
     }
-  }
-
-  // Allocation checks: AST engine when available (type precision, macro
-  // sight), token engine otherwise.
-  const bool want_alloc_checks = CheckEnabled(opt, kCheckRawNew) ||
-                                 CheckEnabled(opt, kCheckHotpathAlloc);
-  if (use_ast && want_alloc_checks) {
-    std::map<std::string, const SourceFile*> by_real;
-    std::vector<std::string> cc_files;
-    for (const auto& f : files) {
-      std::error_code ec;
-      const fs::path real = fs::canonical(f->path(), ec);
-      if (!ec) by_real[real.generic_string()] = f.get();
-      if (fs::path(f->path()).extension() == ".cc") {
-        cc_files.push_back(f->path());
-      }
-    }
-    if (!RunAstEngine(opt.build_dir, cc_files, by_real, &sink, &err)) {
-      std::cerr << "corm-tidy: AST engine failed: " << err << "\n";
-      return 2;
-    }
-    // Respect --checks for the AST results, and drop the per-TU duplicates
-    // a shared header produces.
-    diags.erase(std::remove_if(diags.begin(), diags.end(),
-                               [&](const Diagnostic& d) {
-                                 return !CheckEnabled(opt, d.check.c_str());
-                               }),
-                diags.end());
-  } else if (want_alloc_checks) {
-    for (const auto& f : files) {
-      if (CheckEnabled(opt, kCheckRawNew)) CheckRawNew(*f, &sink);
-      if (CheckEnabled(opt, kCheckHotpathAlloc)) CheckHotpathAlloc(*f, &sink);
-    }
+    if (CheckEnabled(opt, kCheckRawNew)) CheckRawNew(*f, &sink);
+    if (CheckEnabled(opt, kCheckHotpathAlloc)) CheckHotpathAlloc(*f, &sink);
   }
 
   std::sort(diags.begin(), diags.end(),
@@ -345,7 +281,7 @@ int Run(int argc, char** argv) {
   if (!opt.quiet) {
     std::cerr << "corm-tidy: " << diags.size() << " diagnostic(s), "
               << sink.suppressed << " suppressed, " << files.size()
-              << " file(s) [" << (use_ast ? "ast" : "token") << " engine]\n";
+              << " file(s)\n";
   }
   return diags.empty() ? 0 : 1;
 }

@@ -12,8 +12,8 @@
 // and no grep can see it: the taint, the remap call, and the stale use are
 // three different lines.
 //
-// The analysis is a deliberately simple source-order dataflow, shared by
-// both engines so a diagnostic means the same thing on every host:
+// The analysis is a deliberately simple source-order dataflow, so a
+// diagnostic means the same thing on every host:
 //
 //   taint   a declaration (or assignment) whose initializer calls a
 //           directory/object lookup (Lookup, LookupBlockCached,

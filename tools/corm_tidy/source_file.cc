@@ -46,7 +46,7 @@ const std::vector<CheckInfo>& CheckCatalog() {
   static const std::vector<CheckInfo> kCatalog = {
       {kCheckRawNew,
        "allocating new/delete expressions in src/ (RAII-only ownership; "
-       "lint.sh rule 1, now comment/macro/multi-line aware)"},
+       "rule 1, comment/macro/multi-line aware)"},
       {kCheckHotpathAlloc,
        "any allocation in a `// corm-hotpath` file, including implicit ones "
        "(container growth, string append, std::function) (rule 7)"},
@@ -83,9 +83,9 @@ bool SourceFile::Load(const std::string& path, SourceFile* out,
 
   out->path_ = path;
   out->lex_ = Lex(text);
-  // The contract marker must be the very first line, exactly as lint.sh
-  // rule 7 requires (head -1) — the whole line, so a first line that merely
-  // *starts* with the marker text does not opt a file in.
+  // The contract marker must be the very first line (rule 7) — the whole
+  // line, so a first line that merely *starts* with the marker text does
+  // not opt a file in.
   std::string first_line = text.substr(0, text.find('\n'));
   while (!first_line.empty() &&
          (first_line.back() == '\r' || first_line.back() == ' ' ||

@@ -1,10 +1,9 @@
-// corm-tidy: source model shared by both engines.
+// corm-tidy: source model shared by every check.
 //
 // A SourceFile carries the lexed token stream plus the *comment layer* —
 // NOLINT suppressions, escape rationales, and the `// corm-hotpath` file
-// contract. Both engines (AST and token) route their diagnostics through
-// the same suppression logic so a NOLINT means the same thing regardless of
-// which engine happened to be available on the build host.
+// contract. Every check routes its diagnostics through the same
+// suppression logic so a NOLINT means the same thing everywhere.
 
 #ifndef CORM_TIDY_SOURCE_FILE_H_
 #define CORM_TIDY_SOURCE_FILE_H_
@@ -62,8 +61,8 @@ class SourceFile {
   // True when `check` is suppressed at `line`: a NOLINT naming it (or an
   // accepted alias) sits on the same or the preceding line. Aliases keep
   // the historical grep-era markers working:
-  //   corm-spin-wait  also suppresses corm-unbounded-wait (lint.sh rule 5)
-  //   corm-raw-new    also suppresses corm-hotpath-alloc  (lint.sh rule 7)
+  //   corm-spin-wait  also suppresses corm-unbounded-wait (rule 5)
+  //   corm-raw-new    also suppresses corm-hotpath-alloc  (rule 7)
   bool IsSuppressed(const std::string& check, int line) const;
 
   // NOLINT markers present on `line` itself (no window), for the

@@ -158,8 +158,7 @@ void CheckHotpathAlloc(const SourceFile& f, DiagSink* sink) {
 
     // Implicit allocation: growth-capable member call on some object. The
     // token engine cannot see the receiver's type; a hot-path file is held
-    // to the stricter reading (the AST engine narrows this to std::
-    // containers when available).
+    // to the stricter reading.
     if (InList(t.text, kGrowthMethods, std::size(kGrowthMethods)) && i > 0 &&
         (IsPunct(toks[i - 1], ".") || IsPunct(toks[i - 1], "->")) &&
         i + 1 < toks.size() && IsPunct(toks[i + 1], "(")) {

@@ -1,6 +1,6 @@
-// corm-tidy: token-engine checks (the fallback that needs no compilation
-// database). Each function appends unsuppressed diagnostics and counts
-// suppressed ones; the remap-hazard check lives in remap_hazard.h.
+// corm-tidy: token-engine checks (they need no compilation database).
+// Each function appends unsuppressed diagnostics and counts suppressed
+// ones; the remap-hazard check lives in remap_hazard.h.
 
 #ifndef CORM_TIDY_TOKEN_CHECKS_H_
 #define CORM_TIDY_TOKEN_CHECKS_H_
