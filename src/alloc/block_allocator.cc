@@ -66,7 +66,8 @@ std::unique_ptr<Block> BlockAllocator::DestroyBlock(
   return block;
 }
 
-Result<uint64_t> BlockAllocator::MergeRemap(Block* src, Block* dst) {
+Result<uint64_t> BlockAllocator::MergeRemap(Block* src, Block* dst,
+                                            sim::PhysBlock* retired) {
   CORM_CHECK_EQ(src->npages(), dst->npages());
   const size_t npages = src->npages();
 
@@ -123,12 +124,11 @@ Result<uint64_t> BlockAllocator::MergeRemap(Block* src, Block* dst) {
   src->aliases().clear();
   dst->aliases().push_back({src->base(), src->keys().r_key});
 
-  // 3. Punch src's pages out of its memfd file: the file's frame references
-  //    drop; frames stay alive while any mapping still pins them (none
-  //    should, once the MTT entries were repaired).
-  files_->FreeBlock(src->phys());
-  // src now aliases dst's frames; record that in its phys block descriptor
-  // so later full destruction does not double-free.
+  // 3. Retire src's pages: the caller punches them out of the memfd file
+  //    (FreeRetired) once no reader of the old translation remains. src
+  //    now aliases dst's frames; record that in its phys block descriptor
+  //    so later full destruction does not double-free.
+  *retired = src->phys();
   src->mutable_phys()->frames = dst->phys().frames;
   src->mutable_phys()->id = {-1, 0};  // no file backing of its own
 
@@ -139,6 +139,10 @@ Result<uint64_t> BlockAllocator::MergeRemap(Block* src, Block* dst) {
   // Note: no pacing here — the caller holds locks that must not be held for
   // a modeled duration; it paces with the returned ns after releasing them.
   return ns;
+}
+
+void BlockAllocator::FreeRetired(const sim::PhysBlock& retired) {
+  files_->FreeBlock(retired);
 }
 
 void BlockAllocator::ReleaseGhost(sim::VAddr base, size_t npages,

@@ -73,14 +73,21 @@ class BlockAllocator {
 
   // Compaction remap (paper §3.1.2): after the owner copied all live
   // objects from `src` into `dst`, point src's virtual pages at dst's
-  // physical pages, repair the RNIC MTT per the configured strategy, and
-  // punch src's pages out of the memfd pool. src's virtual address and
-  // r_key stay valid (they now alias dst's memory). Returns modeled ns.
-  Result<uint64_t> MergeRemap(Block* src, Block* dst);
+  // physical pages and repair the RNIC MTT per the configured strategy.
+  // src's virtual address and r_key stay valid (they now alias dst's
+  // memory). src's own pages move to `*retired`: a thread that translated
+  // src's vaddr before the remap may still be reading them, so the caller
+  // punches them out of the memfd pool (FreeRetired) once no such thread
+  // remains. Returns modeled ns.
+  Result<uint64_t> MergeRemap(Block* src, Block* dst, sim::PhysBlock* retired);
+
+  // Punches pages that MergeRemap retired out of the memfd pool; frames
+  // stay alive while any mapping still pins them.
+  void FreeRetired(const sim::PhysBlock& retired);
 
   // Releases the virtual range + MR of a fully-drained ghost block (no
   // homed objects remain; paper §3.3). `base`/`npages`/`r_key` identify the
-  // remnant. The physical pages were already freed by MergeRemap.
+  // remnant. Its physical pages were retired by MergeRemap.
   void ReleaseGhost(sim::VAddr base, size_t npages, rdma::RKey r_key);
 
   const SizeClassTable& classes() const { return *classes_; }

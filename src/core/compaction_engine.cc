@@ -50,7 +50,10 @@ CompactionEngine::CompactionEngine(CormNode* node, Worker* worker)
       stats_(node->stat_shard(worker->id())),
       phase_hook_(node->config().compaction_phase_hook) {}
 
-CompactionEngine::~CompactionEngine() = default;
+CompactionEngine::~CompactionEngine() {
+  // A run stopped between Remap and Fixup: every worker has joined by now.
+  if (has_retired_) node_->block_allocator_->FreeRetired(retired_);
+}
 
 void CompactionEngine::Enqueue(CompactRequest* req) {
   pending_.push_back(req);
@@ -497,13 +500,20 @@ void CompactionEngine::AbortPair(Status why) {
 void CompactionEngine::StepRemap() {
   alloc::Block* src = pool_[src_idx_].get();
   alloc::Block* dst = pool_[dst_idx_].get();
-  auto remap_ns = node_->MergeRemap(src, dst);
+  auto remap_ns = node_->MergeRemap(src, dst, &retired_);
   if (!remap_ns.ok()) {
     // The remap failed before mutating anything (allocator-level error):
     // surface it and fall through to Reclaim, which adopts the pool back.
     status_ = remap_ns.status();
     SetPhase(CompactionPhase::kReclaim);
     return;
+  }
+  // A peer that translated src's vaddr before the remap may still be
+  // reading src's pages; Fixup frees them once every peer moved on.
+  has_retired_ = true;
+  peer_passes_.resize(static_cast<size_t>(node_->num_workers()));
+  for (int w = 0; w < node_->num_workers(); ++w) {
+    peer_passes_[static_cast<size_t>(w)] = node_->worker(w)->passes();
   }
   report_.compaction_ns += *remap_ns;
   sim::Pace(*remap_ns);
@@ -512,7 +522,23 @@ void CompactionEngine::StepRemap() {
 
 // --- Fixup: retire src, commit counters, audit dst. ------------------------
 
+bool CompactionEngine::PeersQuiesced() const {
+  for (int w = 0; w < node_->num_workers(); ++w) {
+    if (w == worker_->id()) continue;
+    const Worker* peer = node_->worker(w);
+    if (peer->passes() == peer_passes_[static_cast<size_t>(w)] &&
+        !peer->parked()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void CompactionEngine::StepFixup() {
+  // Not yet: the slice ends and the leader serves its ring meanwhile.
+  if (!PeersQuiesced()) return;
+  node_->block_allocator_->FreeRetired(retired_);
+  has_retired_ = false;
   alloc::Block* dst = pool_[dst_idx_].get();
   node_->RetireBlock(std::move(pool_[src_idx_]));
   ++report_.blocks_freed;

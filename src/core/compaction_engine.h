@@ -42,8 +42,10 @@
 //                 hint. Undone entry-by-entry if the pair aborts.
 //   Remap         one batched MTT repair epoch retargets src's vaddr (and
 //                 chained ghosts) onto dst's frames.
-//   Fixup         retire src to the graveyard, audit dst, commit per-pair
-//                 counters, re-enter ConflictCheck for the next pair.
+//   Fixup         wait (slice by slice) until no peer can still be reading
+//                 src's old pages, free them, retire src to the graveyard,
+//                 audit dst, commit per-pair counters, re-enter
+//                 ConflictCheck for the next pair.
 //   Reclaim       return surviving pool blocks to the leader's allocator a
 //                 few per slice, then publish the report and go idle.
 //
@@ -138,6 +140,8 @@ class CompactionEngine {
   void AbortPair(Status why);
   // Adopts completed zombie replies' blocks back into the allocator.
   void ReapZombies();
+  // True once every peer worker passed peer_passes_ or is parked.
+  bool PeersQuiesced() const;
   // Copies up to `budget` objects of the active pair; returns false when the
   // pair aborted (lock deadline).
   bool CopyObjects(size_t budget);
@@ -194,6 +198,13 @@ class CompactionEngine {
   size_t pair_offset_preserved_ = 0;
   uint64_t pair_bytes_copied_ = 0;
   Buffer payload_;  // reusable staging buffer for object copies
+
+  // Pages of the last merged src, freed in Fixup once every peer worker
+  // has moved past a read it might have started through src's old
+  // translation: a started run-loop iteration or a park after the remap.
+  sim::PhysBlock retired_;
+  bool has_retired_ = false;
+  std::vector<uint64_t> peer_passes_;  // Worker::passes() read after Remap
 
   // Reclaim cursor over pool_.
   size_t reclaim_cursor_ = 0;

@@ -209,13 +209,13 @@ void CormNode::UnregisterBackgroundTask(int id) {
   StopSchedulerThreadIfIdle();
 }
 
-// Duty-cycled scheduler: sleep out the check interval, then (a) snapshot
-// per-class fragmentation (the same stats CompactIfFragmented consults) and
-// run one synchronous Compact per class over the §3.1.3 trigger, and (b)
-// run every registered background task (DESIGN.md §11: the anti-entropy
-// sweep rides this thread). The engine slices each compaction run on the
-// leader, so a scheduler pass stalls the data plane no more than an
-// explicit Compact() call would; the sleep bounds the duty cycle.
+// Duty-cycled scheduler: sleep out the check interval, then (a) run the
+// CompactIfFragmented pass (one run per class over the §3.1.3 trigger,
+// posted together and waited on together), and (b) run every registered
+// background task (DESIGN.md §11: the anti-entropy sweep rides this
+// thread). The engine slices each compaction run on the leader, so a
+// scheduler pass stalls the data plane no more than an explicit Compact()
+// call would; the sleep bounds the duty cycle.
 void CormNode::BackgroundSchedulerLoop() {
   const auto interval =
       std::chrono::microseconds(std::max<uint64_t>(
@@ -228,16 +228,11 @@ void CormNode::BackgroundSchedulerLoop() {
     // A paused node (injected crash) keeps its memory quiescent.
     if (!IsServingRequests()) continue;
     if (sched_compact_.load(std::memory_order_relaxed)) {
-      for (const auto& cls : Fragmentation()) {
-        if (sched_stop_.load(std::memory_order_relaxed)) break;
-        if (cls.num_blocks < 2) continue;
-        if (cls.Ratio() < config_.fragmentation_threshold) continue;
-        ++stat_shard(-1).compaction_bg_runs;
-        // kNotSupported (non-compactable class) and kTimeout (stalled
-        // collector) are expected here; anything else is surfaced by the
-        // stats the run already recorded.
-        (void)Compact(cls.class_idx);
-      }
+      std::vector<PendingCompaction> runs = PostCompactIfFragmented();
+      stat_shard(-1).compaction_bg_runs += runs.size();
+      // kTimeout (stalled collector) is expected here; anything else is
+      // surfaced by the stats the runs already recorded.
+      (void)WaitCompactions(std::move(runs));
     }
     if (sched_stop_.load(std::memory_order_relaxed)) break;
     {
@@ -358,28 +353,37 @@ NodeStats CormNode::stats() const {
 // Compaction bookkeeping.
 // ---------------------------------------------------------------------------
 
-Result<uint64_t> CormNode::MergeRemap(alloc::Block* src, alloc::Block* dst) {
+Result<uint64_t> CormNode::MergeRemap(alloc::Block* src, alloc::Block* dst,
+                                      sim::PhysBlock* retired) {
   uint64_t ns = 0;
-  std::vector<sim::VAddr> ghost_bases;
+  std::optional<GhostToRelease> release;
   {
     // The alias lock serializes this whole retarget against a concurrent
     // last-object ghost release (ReleaseGhostAction) — the role the old
     // whole-directory writer lock played. Directory readers are unaffected:
     // they observe each retargeted base the moment its shard publishes it,
     // and old/new blocks alias the same frames after the remap (§3.3).
+    //
+    // The tracker's alias targets move inside the same section as the alias
+    // lists (alias-list -> vaddr-tracker is in rank order). Once the remap
+    // has retargeted a ghost's pages, a ReleasePtr can re-home its last
+    // object; with the tracker updated after the unlock, that release would
+    // name src while the ghost already sat in dst's list, and the stale
+    // entry would outlive its vaddr until the next merge of dst re-aliased
+    // whatever block had reused that base.
     LockGuard<RankedSpinLock> alias_lock(alias_mu_);
+    std::vector<sim::VAddr> ghost_bases;
     ghost_bases.reserve(src->aliases().size());
     for (const auto& ghost : src->aliases()) ghost_bases.push_back(ghost.base);
-    auto result = block_allocator_->MergeRemap(src, dst);
+    auto result = block_allocator_->MergeRemap(src, dst, retired);
     CORM_RETURN_NOT_OK(result.status());
     ns = *result;
     directory_.RetargetToAlias(src->base(), ghost_bases, dst);
+    for (sim::VAddr base : ghost_bases) {
+      vaddr_tracker_.SetAliasTarget(base, dst);
+    }
+    release = vaddr_tracker_.MarkGhost(src->base(), src->keys().r_key, dst);
   }
-  for (sim::VAddr base : ghost_bases) {
-    vaddr_tracker_.SetAliasTarget(base, dst);
-  }
-  auto release =
-      vaddr_tracker_.MarkGhost(src->base(), src->keys().r_key, dst);
   if (release) ReleaseGhostAction(*release);
   return ns;
 }
@@ -411,41 +415,67 @@ void CormNode::RetireBlock(std::unique_ptr<alloc::Block> block) {
 // Control plane.
 // ---------------------------------------------------------------------------
 
-Result<CompactionReport> CormNode::Compact(uint32_t class_idx) {
-  if (class_idx >= classes_.num_classes()) {
-    return Status::InvalidArgument("bad size class");
-  }
-  CompactRequest req;
-  req.class_idx = class_idx;
-  WorkerMsg msg;
-  msg.kind = WorkerMsg::Kind::kCompact;
-  msg.compact = &req;
-  workers_[0]->Send(msg);
+Result<CompactionReport> PendingCompaction::Wait() {
+  CORM_CHECK(req_ != nullptr) << "compaction run already waited on";
   // Reply from a same-process worker thread, which cannot die independently
   // of this node; no deadline needed.
-  while (!req.done.load(std::memory_order_acquire)) {  // NOLINT(corm-spin-wait)
+  while (!req_->done.load(std::memory_order_acquire)) {  // NOLINT(corm-spin-wait)
     CpuRelax();
   }
-  CORM_RETURN_NOT_OK(req.status);
-  return req.report;
+  const std::unique_ptr<CompactRequest> req = std::move(req_);
+  CORM_RETURN_NOT_OK(req->status);
+  return req->report;
 }
 
-Result<std::vector<CompactionReport>> CormNode::CompactIfFragmented() {
-  auto frag = Fragmentation();
+Result<std::vector<CompactionReport>> WaitCompactions(
+    std::vector<PendingCompaction> runs) {
   std::vector<CompactionReport> reports;
-  for (const auto& cls : frag) {
+  Status first_error;
+  for (PendingCompaction& run : runs) {
+    auto report = run.Wait();
+    if (report.ok()) {
+      reports.push_back(*report);
+    } else if (report.status().code() != StatusCode::kNotSupported &&
+               first_error.ok()) {
+      first_error = report.status();
+    }
+  }
+  CORM_RETURN_NOT_OK(first_error);
+  return reports;
+}
+
+PendingCompaction CormNode::PostCompact(uint32_t class_idx) {
+  CORM_CHECK_LT(class_idx, classes_.num_classes());
+  auto req = std::make_unique<CompactRequest>();
+  req->class_idx = class_idx;
+  WorkerMsg msg;
+  msg.kind = WorkerMsg::Kind::kCompact;
+  msg.compact = req.get();
+  workers_[0]->Send(msg);
+  return PendingCompaction(std::move(req));
+}
+
+std::vector<PendingCompaction> CormNode::PostCompactIfFragmented() {
+  std::vector<PendingCompaction> runs;
+  for (const auto& cls : Fragmentation()) {
     // Trigger per the §3.1.3 policy: at least two blocks (otherwise there
     // is nothing to merge) and a fragmentation ratio above the threshold.
     if (cls.num_blocks < 2) continue;
     if (cls.Ratio() < config_.fragmentation_threshold) continue;
-    auto report = Compact(cls.class_idx);
-    if (report.ok()) {
-      reports.push_back(*report);
-    } else if (report.status().code() != StatusCode::kNotSupported) {
-      return report.status();
-    }
+    runs.push_back(PostCompact(cls.class_idx));
   }
-  return reports;
+  return runs;
+}
+
+Result<CompactionReport> CormNode::Compact(uint32_t class_idx) {
+  if (class_idx >= classes_.num_classes()) {
+    return Status::InvalidArgument("bad size class");
+  }
+  return PostCompact(class_idx).Wait();
+}
+
+Result<std::vector<CompactionReport>> CormNode::CompactIfFragmented() {
+  return WaitCompactions(PostCompactIfFragmented());
 }
 
 std::vector<alloc::ClassFragmentation> CormNode::Fragmentation() {

@@ -307,6 +307,46 @@ struct CompactionReport {
   size_t planner_rejections = 0;   // of those, killed by the exact ID check
 };
 
+// Reply slot of one compaction run: the leader fills status and report,
+// then release-stores done.
+struct CompactRequest {
+  std::atomic<bool> done{false};
+  uint32_t class_idx = 0;
+  Status status;
+  CompactionReport report;
+};
+
+// A compaction run posted to the leader worker (CormNode::
+// PostCompactIfFragmented) and not yet waited on. It owns the run's reply
+// slot, which the leader writes until the run ends, so the slot is released
+// only after the run is done: Wait() returns the result, and a handle
+// dropped unwaited waits in its destructor. Move-only; a moved-to handle
+// cannot be overwritten, so no pending slot is ever dropped by assignment.
+class PendingCompaction {
+ public:
+  PendingCompaction(PendingCompaction&&) noexcept = default;
+  PendingCompaction& operator=(PendingCompaction&&) = delete;
+  ~PendingCompaction() {
+    if (req_ != nullptr) (void)Wait();
+  }
+
+  // Blocks until the run ends and returns its report or error. Call once.
+  Result<CompactionReport> Wait();
+
+ private:
+  friend class CormNode;
+  explicit PendingCompaction(std::unique_ptr<CompactRequest> req)
+      : req_(std::move(req)) {}
+
+  std::unique_ptr<CompactRequest> req_;
+};
+
+// Waits for every run, in order, even after one fails. Returns the reports
+// of the runs that compacted, skipping kNotSupported (a class that is not
+// compactable); otherwise the first error, once all runs are done.
+Result<std::vector<CompactionReport>> WaitCompactions(
+    std::vector<PendingCompaction> runs);
+
 class Worker;            // defined in worker.h (internal)
 class CompactionEngine;  // defined in compaction_engine.h (internal)
 
@@ -352,6 +392,13 @@ class CormNode {
   // Compacts every class whose fragmentation ratio exceeds the configured
   // threshold (§3.1.3). Returns one report per compacted class.
   Result<std::vector<CompactionReport>> CompactIfFragmented();
+
+  // Non-blocking half of CompactIfFragmented (DESIGN.md §9): queues one run
+  // per over-threshold class on the leader (worker 0), in class order, and
+  // returns at once. The leader runs its queue one run at a time in posting
+  // order; the caller waits through the returned handles (WaitCompactions),
+  // so several nodes' leaders can run concurrently.
+  std::vector<PendingCompaction> PostCompactIfFragmented();
 
   // Per-class fragmentation, gathered from the workers via messages.
   std::vector<alloc::ClassFragmentation> Fragmentation();
@@ -511,10 +558,16 @@ class CormNode {
   }
   void DirectoryErase(sim::VAddr base) { directory_.Erase(base); }
 
+  // Queues one run of `class_idx` on the leader without waiting.
+  PendingCompaction PostCompact(uint32_t class_idx);
+
   // Compaction remap of src into dst with all node-level bookkeeping
   // (directory retarget, ghost tracking) serialized under the alias lock.
-  // Returns the modeled remap duration; the caller paces it afterwards.
-  Result<uint64_t> MergeRemap(alloc::Block* src, alloc::Block* dst);
+  // src's own pages move to `*retired` for FreeRetired (see
+  // alloc::BlockAllocator::MergeRemap). Returns the modeled remap duration;
+  // the caller paces it afterwards.
+  Result<uint64_t> MergeRemap(alloc::Block* src, alloc::Block* dst,
+                              sim::PhysBlock* retired);
 
   // Releases a ghost virtual range after its last homed object died.
   void ReleaseGhostAction(const GhostToRelease& ghost);

@@ -50,8 +50,10 @@ void Worker::Run() {
   // Consecutive dry polls; reset by any work. Past kIdleYields the worker
   // parks in escalating sleeps instead of re-entering the yield rotation.
   uint32_t idle = 0;
+  uint64_t passes = 0;
   // Run loop, not a completion wait: bounded by stop_. NOLINT(corm-spin-wait)
   while (!node_->stop_.load(std::memory_order_relaxed)) {
+    passes_.store(++passes, std::memory_order_release);
     if (auto msg = inbox_.TryPop()) {
       HandleInbox(*msg);
       idle = 0;
@@ -123,7 +125,7 @@ void Worker::Run() {
       CpuRelax();
     } else {
       const uint32_t exp = std::min(idle - kIdleYields, 10u);
-      parked_.store(true, std::memory_order_relaxed);
+      parked_.store(true, std::memory_order_release);
       std::this_thread::sleep_for(std::chrono::microseconds(1u << exp));
       parked_.store(false, std::memory_order_relaxed);
     }
@@ -142,12 +144,11 @@ void Worker::HandleInbox(WorkerMsg& msg) {
     case WorkerMsg::Kind::kCorrection: {
       // Only the current owner may touch block metadata; if ownership moved
       // while the query was in flight, the requester re-routes.
-      if (msg.block->owner_thread() == id_) {
+      msg.correction->owned = msg.block->owner_thread() == id_;
+      if (msg.correction->owned) {
         auto slot = OwnerLookup(msg.block, msg.obj_id);
         msg.correction->found = slot.ok();
         msg.correction->slot = slot.ok() ? *slot : 0;
-      } else {
-        msg.correction->found = false;
       }
       msg.correction->done.store(true, std::memory_order_release);
       break;
@@ -416,10 +417,9 @@ Result<uint32_t> Worker::CorrectViaOwner(alloc::Block* block,
       }
     }
     if (reply.found) return reply.slot;
-    // Owner either no longer owns the block (retry) or the ID is gone.
-    if (block->owner_thread() == owner) {
-      return Status::NotFound("object ID not present in block");
-    }
+    // The owner's miss is final; a worker that no longer owned the block
+    // sends us back to re-read the owner.
+    if (reply.owned) return Status::NotFound("object ID not present in block");
   }
   return Status::Internal("pointer correction ownership churn");
 }
@@ -572,18 +572,30 @@ void Worker::HandleWrite(rdma::RpcMessage* rpc) {
   WriteRequest req;
   Slice payload = DecodeRequest(rpc->request, &req);
   ++stats_.rpc_writes;
+  // A whole compaction pair (copy, then remap) can land between resolving
+  // the object and locking it: the resolved slot then shows the
+  // destination's bytes. The pointer is still valid, so resolve it again
+  // instead of failing the write.
+  int resolves = 1;
+  while (!TryWrite(rpc, req, payload,
+                   /*last_try=*/resolves == kWriteResolves)) {
+    ++resolves;
+  }
+}
 
+bool Worker::TryWrite(rdma::RpcMessage* rpc, const WriteRequest& req,
+                      Slice payload, bool last_try) {
   auto resolved = ResolveObject(req.addr);
   if (!resolved.ok()) {
     Complete(rpc, resolved.status());
-    return;
+    return true;
   }
   alloc::Block* block = resolved->block;
   const ConsistencyMode mode = node_->config().consistency;
   if (req.size > PayloadCapacity(block->slot_size(), mode) ||
       payload.size() < req.size) {
     Complete(rpc, Status::InvalidArgument("write larger than object payload"));
-    return;
+    return true;
   }
   uint8_t* ptr = SlotPtr(resolved->base, block, resolved->slot);
 
@@ -593,16 +605,17 @@ void Worker::HandleWrite(rdma::RpcMessage* rpc) {
     ObjectHeader h = ObjectHeader::Unpack(w);
     if (h.lock == LockState::kCompacting) {
       Complete(rpc, Status::ObjectLocked("object under compaction"));
-      return;
+      return true;
     }
     if (h.lock == LockState::kTombstone || h.obj_id != req.addr.obj_id) {
+      if (!last_try) return false;
       Complete(rpc, Status::ObjectMoved("object moved during write"));
-      return;
+      return true;
     }
     if (h.lock == LockState::kWriteLocked) {
       if (attempt > 4096) {
         Complete(rpc, Status::ObjectLocked("object write-locked"));
-        return;
+        return true;
       }
       CpuRelax();
       w = LoadHeaderWord(ptr);
@@ -650,6 +663,7 @@ void Worker::HandleWrite(rdma::RpcMessage* rpc) {
   resp.addr = CorrectedAddr(req.addr, *resolved, block->slot_size());
   EncodeResponse(resp, &rpc->response);
   Complete(rpc, Status::OK());
+  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,12 @@ namespace corm::core {
 
 struct CorrectionReply {
   std::atomic<bool> done{false};
+  // The queried worker owned the block when it answered, so `found` is
+  // authoritative. Without it the requester could only re-read the owner
+  // after the reply, and a block that left the owner (collected into its
+  // own compaction pool) and came back before that re-read made "not the
+  // owner" look like "ID not in block".
+  bool owned = false;
   bool found = false;
   uint32_t slot = 0;
 };
@@ -46,13 +52,6 @@ struct StatsReply {
   std::vector<uint64_t> granted;
   std::vector<uint64_t> used;
   std::vector<uint64_t> nblocks;
-};
-
-struct CompactRequest {
-  std::atomic<bool> done{false};
-  uint32_t class_idx = 0;
-  Status status;
-  CompactionReport report;
 };
 
 // Reply slot for an on-thread invariant audit (CormNode::Audit). The worker
@@ -128,7 +127,13 @@ class Worker {
   // from a ring only while its owner is parked — an awake owner drains its
   // own ring, and stealing from it would keep every idle worker spinning on
   // load that belongs to one worker (see Run()).
-  bool parked() const { return parked_.load(std::memory_order_relaxed); }
+  bool parked() const { return parked_.load(std::memory_order_acquire); }
+
+  // Run-loop iterations started. Stored with release at the top of each
+  // iteration, where the worker holds no pointer translated from a virtual
+  // address: once it moves past a value read after a remap (or the worker
+  // is parked), no read through the old translation is in flight.
+  uint64_t passes() const { return passes_.load(std::memory_order_acquire); }
 
   // Result of locating an object (public for internal free helpers).
   struct Resolved {
@@ -149,6 +154,11 @@ class Worker {
   void HandleFree(rdma::RpcMessage* rpc, bool forwarded);
   void HandleRead(rdma::RpcMessage* rpc);
   void HandleWrite(rdma::RpcMessage* rpc);
+  // One resolve-lock-write attempt. Returns false, leaving the RPC open,
+  // when the resolved slot no longer holds the object and `last_try` is
+  // false; otherwise completes the RPC and returns true.
+  bool TryWrite(rdma::RpcMessage* rpc, const WriteRequest& req,
+                Slice payload, bool last_try);
   void HandleReleasePtr(rdma::RpcMessage* rpc);
 
   // --- Keyed index operations (DESIGN.md §13). ----------------------------
@@ -234,6 +244,9 @@ class Worker {
   // Records applied per ingress ring per drain pass: bounds how long the
   // apply path keeps the worker away from its RPC ring.
   static constexpr int kReplApplyBatch = 16;
+  // Resolutions a Write may make when the object moves under it (one
+  // compaction pair per extra resolution) before it reports kObjectMoved.
+  static constexpr int kWriteResolves = 4;
   // Random ID draws before DrawObjectId falls back to scanning.
   static constexpr int kIdRandomDraws = 32;
   // Dry polls an idle worker yields through before parking in short sleeps.
@@ -252,6 +265,7 @@ class Worker {
   const int id_;
   alloc::ThreadAllocator allocator_;
   std::atomic<bool> parked_{false};
+  std::atomic<uint64_t> passes_{0};
   MpmcQueue<WorkerMsg> inbox_;
   Rng rng_;
   // This worker's cacheline-padded stat shard; counters on the data plane

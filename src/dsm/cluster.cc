@@ -112,19 +112,20 @@ int Cluster::Heartbeat() {
 
 Result<std::vector<core::CompactionReport>>
 Cluster::CompactAllIfFragmented() {
-  std::vector<core::CompactionReport> all;
+  // Compaction is node-local (§3.1), so every node's leader runs at once:
+  // post on each serving node first, then wait on all of them.
+  std::vector<core::PendingCompaction> runs;
   for (int i = 0; i < num_nodes(); ++i) {
-    // Skip nodes the detector distrusts, plus a direct serving check:
-    // compaction is a control-plane op that synchronously waits on the
-    // node's workers, so running it against a paused node would stall the
-    // whole cluster sweep even if the detector has not caught up yet.
+    // Skip nodes the detector distrusts, plus a direct serving check: the
+    // sweep waits on the node's workers, so posting to a paused node would
+    // stall the whole cluster sweep even if the detector has not caught up.
     if (!detector_.MaybeServing(i)) continue;
     if (IsDead(i) || !nodes_[i]->IsServingRequests()) continue;
-    auto reports = nodes_[i]->CompactIfFragmented();
-    CORM_RETURN_NOT_OK(reports.status());
-    all.insert(all.end(), reports->begin(), reports->end());
+    for (auto& run : nodes_[i]->PostCompactIfFragmented()) {
+      runs.push_back(std::move(run));
+    }
   }
-  return all;
+  return core::WaitCompactions(std::move(runs));
 }
 
 void Cluster::StartBackgroundCompaction() {

@@ -188,9 +188,15 @@ class Cluster {
 
   // --- Cluster-wide control plane. ---------------------------------------
   // Runs the §3.1.3 fragmentation policy on every node the failure
-  // detector trusts; faulted nodes are skipped cleanly. With background
-  // compaction running, this is only needed as an explicit synchronous
-  // sweep (benches measuring a specific pass; tests forcing a round).
+  // detector trusts; faulted nodes are skipped cleanly. The nodes compact
+  // concurrently: the sweep posts each node's runs to its leader, then
+  // waits on all of them, so it takes about as long as the slowest node
+  // rather than the sum. A failing run does not stop the other nodes; the
+  // first error (kNotSupported classes aside) is returned once every run
+  // is done, and reports come in node order, then class order. With
+  // background compaction running, this is only needed as an explicit
+  // synchronous sweep (benches measuring a specific pass; tests forcing a
+  // round).
   Result<std::vector<core::CompactionReport>> CompactAllIfFragmented();
 
   // Starts/stops every node's duty-cycled compaction scheduler (the

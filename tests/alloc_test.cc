@@ -187,9 +187,14 @@ TEST_F(AllocTest, MergeRemapAliasesSourceToDestination) {
   ASSERT_TRUE(space_.WriteVirtual((*dst)->base(), &marker, 8).ok());
 
   const size_t frames_before = phys_.live_frames();
-  auto ns = ba->MergeRemap(src->get(), dst->get());
+  sim::PhysBlock retired;
+  auto ns = ba->MergeRemap(src->get(), dst->get(), &retired);
   ASSERT_TRUE(ns.ok());
   EXPECT_GT(*ns, 0u);
+  // src's page is retired, not yet freed: a reader that translated src's
+  // vaddr before the remap may still hold it.
+  EXPECT_EQ(phys_.live_frames(), frames_before);
+  ba->FreeRetired(retired);
   // src's vaddr now reads dst's bytes.
   uint64_t out = 0;
   ASSERT_TRUE(space_.ReadVirtual((*src)->base(), &out, 8).ok());
@@ -221,8 +226,11 @@ TEST_F(AllocTest, MergeRemapFollowsGhostChains) {
   ASSERT_TRUE(space_.WriteVirtual((*c)->base(), &marker, 8).ok());
 
   // a -> b, then b -> c: a's range must follow to c.
-  ASSERT_TRUE(ba->MergeRemap(a->get(), b->get()).ok());
-  ASSERT_TRUE(ba->MergeRemap(b->get(), c->get()).ok());
+  sim::PhysBlock retired;
+  ASSERT_TRUE(ba->MergeRemap(a->get(), b->get(), &retired).ok());
+  ba->FreeRetired(retired);
+  ASSERT_TRUE(ba->MergeRemap(b->get(), c->get(), &retired).ok());
+  ba->FreeRetired(retired);
   uint64_t out = 0;
   ASSERT_TRUE(space_.ReadVirtual((*a)->base(), &out, 8).ok());
   EXPECT_EQ(out, marker);

@@ -3,13 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/object_layout.h"
 #include "dsm/cluster.h"
 #include "dsm/dsm_context.h"
 #include "dsm/replication.h"
+#include "sim/fault_injector.h"
 
 namespace corm::dsm {
 namespace {
@@ -298,6 +306,217 @@ TEST(DsmChurnTest, RandomizedOpsPreserveEveryObject) {
     ASSERT_TRUE(ctx.ReadWithRecovery(&addr, buf.data(), obj.size).ok());
     EXPECT_TRUE(PatternCheck(obj.pattern, buf.data(), obj.size));
   }
+}
+
+
+// --- The cluster sweep runs every node's compaction at once. ---------------
+
+constexpr uint32_t kSweepPayload = 56;
+
+// Phase hook shared by every node of a cluster. The hook only sees the
+// phase, so it tells node 0's leader apart by thread: Learn() runs one
+// (empty) compaction on node 0 and records the thread that announces it.
+// The tests then hold node 0's leader, or the other leaders, at a phase.
+struct LeaderGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool learning = false;
+  std::thread::id node0_leader;
+  // Node 0's leader blocks when it enters `hold_phase` until `release`.
+  std::optional<core::CompactionPhase> hold_phase;
+  bool node0_held = false;
+  bool release = false;
+  // kIdle announcements from the other nodes' leaders (a finished run).
+  int others_finished = 0;
+  // The other leaders block at kSelect until this returns true.
+  std::function<bool()> others_may_start = [] { return true; };
+
+  void OnPhase(core::CompactionPhase p) {
+    std::unique_lock<std::mutex> lock(mu);
+    const std::thread::id self = std::this_thread::get_id();
+    if (learning) {
+      node0_leader = self;
+      return;
+    }
+    if (self == node0_leader) {
+      if (p != hold_phase) return;
+      node0_held = true;
+      cv.notify_all();
+      cv.wait(lock, [this] { return release; });
+      return;
+    }
+    if (p == core::CompactionPhase::kIdle) {
+      ++others_finished;
+      cv.notify_all();
+    } else if (p == core::CompactionPhase::kSelect) {
+      // Polled (nothing signals the predicate) and bounded, so a predicate
+      // that never holds cannot wedge teardown.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!others_may_start() &&
+             std::chrono::steady_clock::now() < deadline) {
+        cv.wait_for(lock, std::chrono::milliseconds(1));
+      }
+    }
+  }
+
+  void Learn(Cluster* cluster, uint32_t class_idx) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      learning = true;
+    }
+    ASSERT_TRUE(cluster->node(0)->Compact(class_idx).ok());
+    std::lock_guard<std::mutex> lock(mu);
+    learning = false;
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+    cv.notify_all();
+  }
+};
+
+ClusterConfig GatedCluster(LeaderGate* gate, int workers) {
+  ClusterConfig config = SmallCluster(3);
+  config.node_config.num_workers = workers;
+  config.node_config.compaction_phase_hook = [gate](core::CompactionPhase p) {
+    gate->OnPhase(p);
+  };
+  return config;
+}
+
+// Fills every node with half-empty blocks of one class: returns the
+// survivors (pattern seed = index into `patterns`).
+std::vector<GlobalAddr> FragmentEveryNode(Cluster* cluster, DsmContext* ctx,
+                                          std::vector<int>* patterns) {
+  std::vector<GlobalAddr> all;
+  std::vector<uint8_t> buf(kSweepPayload);
+  for (int node = 0; node < cluster->num_nodes(); ++node) {
+    for (int i = 0; i < 256; ++i) {
+      auto addr = ctx->AllocOn(node, kSweepPayload);
+      EXPECT_TRUE(addr.ok());
+      if (!addr.ok()) continue;
+      PatternFill(all.size(), buf.data(), kSweepPayload);
+      EXPECT_TRUE(ctx->Write(&*addr, buf.data(), kSweepPayload).ok());
+      all.push_back(*addr);
+    }
+  }
+  std::vector<GlobalAddr> survivors;
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (i % 2 == 0) {
+      EXPECT_TRUE(ctx->Free(&all[i]).ok());
+    } else {
+      survivors.push_back(all[i]);
+      patterns->push_back(static_cast<int>(i));
+    }
+  }
+  return survivors;
+}
+
+void VerifySurvivors(DsmContext* ctx, std::vector<GlobalAddr> survivors,
+                     const std::vector<int>& patterns) {
+  std::vector<uint8_t> buf(kSweepPayload);
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    ASSERT_TRUE(
+        ctx->ReadWithRecovery(&survivors[i], buf.data(), kSweepPayload).ok())
+        << i;
+    EXPECT_TRUE(PatternCheck(patterns[i], buf.data(), kSweepPayload)) << i;
+  }
+}
+
+TEST(DsmSweepTest, NodesCompactConcurrentlyAndTheSweepWaitsForAll) {
+  LeaderGate gate;
+  gate.hold_phase = core::CompactionPhase::kCopy;
+  Cluster cluster(GatedCluster(&gate, /*workers=*/1));
+  const uint32_t class_idx = *cluster.node(0)->ClassForPayload(kSweepPayload);
+  gate.Learn(&cluster, class_idx);
+  DsmContext ctx(&cluster);
+  std::vector<int> patterns;
+  const std::vector<GlobalAddr> survivors =
+      FragmentEveryNode(&cluster, &ctx, &patterns);
+
+  std::atomic<bool> sweep_done{false};
+  Result<std::vector<core::CompactionReport>> reports =
+      Status::Internal("never ran");
+  std::thread sweeper([&] {
+    reports = cluster.CompactAllIfFragmented();
+    sweep_done.store(true, std::memory_order_release);
+  });
+
+  // Node 0's leader sits in kCopy; the other two nodes must still finish
+  // their runs, and the sweep must keep waiting for node 0.
+  bool others_done_while_held = false;
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    others_done_while_held =
+        gate.cv.wait_for(lock, std::chrono::seconds(10), [&gate] {
+          return gate.node0_held && gate.others_finished >= 2;
+        });
+  }
+  const bool returned_while_held =
+      sweep_done.load(std::memory_order_acquire);
+  gate.Release();
+  sweeper.join();
+
+  EXPECT_TRUE(others_done_while_held)
+      << "nodes 1 and 2 did not compact while node 0's run was held";
+  EXPECT_FALSE(returned_while_held)
+      << "the sweep returned before node 0's run finished";
+  ASSERT_TRUE(reports.ok()) << reports.status();
+  ASSERT_EQ(reports->size(), 3u);  // one over-threshold class per node
+  for (const core::CompactionReport& r : *reports) {
+    EXPECT_GT(r.blocks_freed, 0u);
+  }
+  VerifySurvivors(&ctx, survivors, patterns);
+}
+
+TEST(DsmSweepTest, OneFailingNodeDoesNotStopTheOthers) {
+  // Installed before the cluster exists, so every worker that can reach it
+  // is joined before it is destroyed. Armed only once the setup is done.
+  sim::FaultInjector injector(/*seed=*/11);
+  sim::ScopedFaultInjector install(&injector);
+  LeaderGate gate;
+  ClusterConfig config = GatedCluster(&gate, /*workers=*/2);
+  // Node 0's run waits this out; the healthy nodes' collectors must answer
+  // within it even on a loaded host.
+  config.node_config.compaction_collect_deadline_ns = 500'000'000;  // 0.5 s
+  Cluster cluster(config);
+  const uint32_t class_idx = *cluster.node(0)->ClassForPayload(kSweepPayload);
+  gate.Learn(&cluster, class_idx);
+  DsmContext ctx(&cluster);
+  std::vector<int> patterns;
+  const std::vector<GlobalAddr> survivors =
+      FragmentEveryNode(&cluster, &ctx, &patterns);
+
+  // Node 0's peer worker swallows the first Collect message, so node 0's
+  // run times out. Nodes 1 and 2 wait at kSelect until it has fired, so
+  // the stall cannot land on them.
+  sim::FaultSchedule stall;
+  stall.one_shot_at = 1;
+  injector.Arm(sim::fault_sites::kCompactionCollectStall, stall);
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.others_may_start = [&injector] {
+      return injector.FiredCount(sim::fault_sites::kCompactionCollectStall) >
+             0;
+    };
+  }
+  auto reports = cluster.CompactAllIfFragmented();
+  ASSERT_FALSE(reports.ok());
+  EXPECT_TRUE(reports.status().IsTimeout()) << reports.status();
+  EXPECT_EQ(
+      injector.FiredCount(sim::fault_sites::kCompactionCollectStall), 1u);
+  EXPECT_EQ(cluster.node(0)->stats().compaction_timeouts, 1u);
+  EXPECT_EQ(cluster.node(0)->stats().blocks_compacted, 0u);
+  for (int i = 1; i < cluster.num_nodes(); ++i) {
+    const core::NodeStats stats = cluster.node(i)->stats();
+    EXPECT_GT(stats.blocks_compacted, 0u)
+        << "node " << i << " did not compact after node 0 failed ("
+        << stats.compaction_runs << " runs, " << stats.compaction_timeouts
+        << " timeouts)";
+  }
+  VerifySurvivors(&ctx, survivors, patterns);
 }
 
 }  // namespace

@@ -124,6 +124,75 @@ TEST(TsanStressTest, AllocFreeChurnWithConcurrentCompaction) {
   EXPECT_EQ(LockRankTracker::Depth(), 0);
 }
 
+// Pointer corrections against the compaction leader's own blocks. After a
+// run, the leader (worker 0) owns every surviving block, so a stale-hint
+// write served by another worker asks worker 0 to look the object up. The
+// next run collects those blocks into the leader's pool and hands them back
+// to it, so the block's owner reads 0, then -1, then 0 again. A "not the
+// owner" reply must send the requester back to re-read the owner, never be
+// mistaken for "ID not in block" because the owner looks unchanged by the
+// time the reply is read.
+TEST(TsanStressTest, StaleHintWritesRaceLeaderOwnershipRoundTrips) {
+  constexpr int kWorkers = 4;
+  constexpr int kWriters = 6;
+  constexpr int kWritesPerWriter = 1500;
+  CormConfig config = Config();
+  config.num_workers = kWorkers;
+  CormNode node(config);
+  const uint32_t class_idx = *node.ClassForPayload(kPayload);
+
+  // Four objects per slot column, three of them freed: the first run
+  // relocates most survivors, so their original pointers keep stale hints.
+  auto loader = Context::Create(&node);
+  std::vector<GlobalAddr> survivors;
+  {
+    std::vector<GlobalAddr> all;
+    for (int i = 0; i < 1024; ++i) {
+      auto addr = loader->Alloc(kPayload);
+      ASSERT_TRUE(addr.ok()) << addr.status();
+      all.push_back(*addr);
+    }
+    for (size_t i = 0; i < all.size(); ++i) {
+      if (i % 4 == 0) {
+        survivors.push_back(all[i]);
+      } else {
+        ASSERT_TRUE(loader->Free(&all[i]).ok());
+      }
+    }
+  }
+  auto first = node.Compact(class_idx);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_GT(first->objects_relocated, 0u);
+
+  std::atomic<bool> stop{false};
+  std::thread control([&node, class_idx, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      EXPECT_TRUE(node.Compact(class_idx).ok());
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&node, &survivors, t] {
+      auto ctx = Context::Create(&node);
+      Rng rng(0xc0ffee + static_cast<uint64_t>(t));
+      std::vector<uint8_t> buf(kPayload);
+      for (int op = 0; op < kWritesPerWriter; ++op) {
+        // A fresh copy of the original pointer every time: the hint stays
+        // stale, so every write goes through a correction.
+        GlobalAddr addr = survivors[rng.Next() % survivors.size()];
+        PatternFill(static_cast<uint64_t>(op), buf.data(), kPayload);
+        const Status st = ctx->Write(&addr, buf.data(), kPayload);
+        ASSERT_TRUE(st.ok() || st.IsObjectLocked()) << st;
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  stop.store(true, std::memory_order_relaxed);
+  control.join();
+  EXPECT_TRUE(node.Audit().ok());
+}
+
 // The message pool's two recycle paths racing (DESIGN.md §7.2): on the
 // normal path the client drops the last reference and the message recycles
 // into the *client's* freelist; on the abandoned path the client Unrefs
