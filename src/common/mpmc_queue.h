@@ -51,7 +51,10 @@ class MpmcQueue {
       const intptr_t diff =
           static_cast<intptr_t>(seq) - static_cast<intptr_t>(pos);
       if (diff == 0) {
-        if (tail_.compare_exchange_weak(pos, pos + 1,
+        // seq_cst: the publish half of Parker's store-then-check hand-off
+        // (common/parker.h), paired with NonEmpty()'s seq_cst load. Same
+        // instruction as a relaxed CAS on x86.
+        if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
           break;
         }
@@ -146,6 +149,15 @@ class MpmcQueue {
       cell->seq.store(pos + i + mask_ + 1, std::memory_order_release);
     }
     return k;
+  }
+
+  // True when some push has claimed a slot that no pop has taken yet (its
+  // value may still be in flight). The seq_cst tail load is the check half
+  // of Parker's hand-off: a consumer that announced its park and then
+  // reads false cannot miss a push whose producer will not see the park.
+  bool NonEmpty() const {
+    const size_t t = tail_.load(std::memory_order_seq_cst);
+    return head_.load(std::memory_order_relaxed) < t;
   }
 
   // Approximate: only exact when no concurrent operations are in flight.

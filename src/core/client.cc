@@ -207,8 +207,8 @@ Status Context::ValidateAndExtract(const uint8_t* slot, uint32_t slot_size,
   if (h.lock == LockState::kTombstone || h.obj_id != addr.obj_id) {
     return Status::ObjectMoved("object not at hinted offset");
   }
-  if (h.lock != LockState::kFree) {
-    return Status::ObjectLocked("object locked (write or compaction)");
+  if (!Readable(h.lock)) {
+    return Status::ObjectLocked("object write-locked");
   }
   if (!SnapshotConsistent(slot, slot_size, mode)) {
     return Status::TornRead("consistency metadata mismatch");
@@ -437,8 +437,8 @@ Status Context::ScanRead(GlobalAddr* addr, void* buf, size_t size) {
     const ObjectHeader h =
         ObjectHeader::Unpack(*reinterpret_cast<const uint64_t*>(sptr));
     if (h.obj_id != addr->obj_id || h.lock == LockState::kTombstone) continue;
-    if (h.lock != LockState::kFree) {
-      return Status::ObjectLocked("object locked during scan");
+    if (!Readable(h.lock)) {
+      return Status::ObjectLocked("object write-locked during scan");
     }
     if (!SnapshotConsistent(sptr, slot_size, mode)) {
       return Status::TornRead("torn object during scan");
@@ -465,9 +465,11 @@ RetryState Context::RecoveryRetry() {
 
 Status Context::ReadWithRecovery(GlobalAddr* addr, void* buf, size_t size,
                                  MovedFallback fallback) {
-  // Retry with exponential backoff until the policy deadline: an object
-  // can stay locked for the full duration of a block merge, which is real
-  // wall time regardless of the modeled time scale.
+  // Retry with exponential backoff until the policy deadline. What is
+  // retried is transient: a writer's lock, a torn snapshot, a broken QP, or
+  // a moved object whose fallback raced one of those. Compaction no longer
+  // is — a kCompacting object reads through (DESIGN.md §8) — so a Get that
+  // meets a merge in progress pays no backoff.
   RetryState retry = RecoveryRetry();
   while (retry.NextAttempt()) {
     Status st = DirectRead(*addr, buf, size);
@@ -475,9 +477,9 @@ Status Context::ReadWithRecovery(GlobalAddr* addr, void* buf, size_t size,
     if (st.IsObjectMoved()) {
       // Pointer correction on the client side (§3.2.2): re-fetch via scan
       // or an RPC read; both return a corrected pointer. The fallback can
-      // itself hit an object mid-compaction (locked/torn) — that is as
-      // transient as a failed DirectRead, so it re-enters the backoff loop
-      // (§3.2.3: "the read is repeated after a backoff period").
+      // itself hit a write-locked or torn object — that is as transient as
+      // a failed DirectRead, so it re-enters the backoff loop (§3.2.3: "the
+      // read is repeated after a backoff period").
       stats_.failovers++;
       st = fallback == MovedFallback::kScanRead ? ScanRead(addr, buf, size)
                                                 : Read(addr, buf, size);
@@ -487,7 +489,7 @@ Status Context::ReadWithRecovery(GlobalAddr* addr, void* buf, size_t size,
         st.IsObjectMoved()) {
       stats_.retries++;
       sim::Pace(retry.BackoffNs());
-      std::this_thread::yield();  // let the compacting worker progress
+      std::this_thread::yield();  // let the lock holder progress
       continue;
     }
     return st;  // NotFound / Timeout / NetworkError / ...: not retryable here

@@ -135,8 +135,10 @@ class Context : public sync::SyncMedium {
 
   // --- Recovery policy helper (client behaviour in §4.3.2). --------------
   enum class MovedFallback { kScanRead, kRpcRead };
-  // DirectRead with bounded retry/backoff for transient invalidity and the
-  // chosen fallback when the object moved. Corrects `addr` on fallback.
+  // DirectRead with bounded retry/backoff for transient invalidity (a
+  // writer's lock, a torn snapshot, a broken QP) and the chosen fallback
+  // when the object moved. An object under compaction is not transient: it
+  // reads through. Corrects `addr` on fallback.
   Status ReadWithRecovery(GlobalAddr* addr, void* buf, size_t size,
                           MovedFallback fallback = MovedFallback::kScanRead);
 
@@ -144,6 +146,9 @@ class Context : public sync::SyncMedium {
   void ResetStats() { stats_ = ClientStats{}; }
 
   rdma::QueuePair* queue_pair() { return &qp_; }
+  // The RPC ring (= serving worker) this client's non-ownership-bound ops
+  // target.
+  int home_ring() const { return ring_; }
   sync::SchemeKind sync_scheme() const { return scheme_->kind(); }
 
   // --- sync::SyncMedium (the scheme's window into this client). ----------

@@ -337,9 +337,10 @@ void CompactionEngine::StepCopy() {
       std::max<size_t>(node_->config().compaction_slice_objects, 1);
   if (!CopyObjects(budget)) return;  // pair aborted; phase already changed
   if (copy_cursor_ >= live_slots_.size()) {
-    // Every object of the pair now has a valid destination copy (written
-    // kFree) while the sources hold kCompacting: exactly the window the
-    // IndexRepair sub-phase needs to retarget keyed hints safely.
+    // Every object of the pair now has a destination copy, and sources and
+    // copies alike hold kCompacting: both read the same bytes and neither
+    // takes a write, exactly the window the IndexRepair sub-phase needs to
+    // retarget keyed hints safely.
     index_repair_cursor_ = 0;
     index_repair_targets_.clear();
     index_repair_targets_.reserve(copied_.size());
@@ -394,9 +395,9 @@ void CompactionEngine::StepIndexRepair() {
 }
 
 // Escape: lock hand-off during the object copy — per-object kCompacting
-// header locks are CAS-acquired here and *implicitly released* when the
-// remap retargets src's bytes at dst's kFree copies (no unlock call exists
-// for the analyzer to pair with the acquisition).
+// header locks are CAS-acquired here and released in another phase:
+// StepRemap publishes the copies as kFree once src's bytes are retargeted
+// at them (no unlock call pairs with the acquisition for the analyzer).
 bool CompactionEngine::CopyObjects(size_t budget) NO_THREAD_SAFETY_ANALYSIS {
   alloc::Block* src = pool_[src_idx_].get();
   alloc::Block* dst = pool_[dst_idx_].get();
@@ -409,10 +410,11 @@ bool CompactionEngine::CopyObjects(size_t budget) NO_THREAD_SAFETY_ANALYSIS {
     const uint32_t slot = live_slots_[copy_cursor_];
     uint8_t* sptr = worker_->SlotPtr(src->base(), src, slot);
 
-    // 1. Lock the object (kCompacting): readers observe the lock and retry;
-    //    writers cannot acquire (§3.2.3). The pool is detached (owner -1),
-    //    so no free can tombstone the slot under us; only transient writer
-    //    locks are possible, bounded by the deadline below.
+    // 1. Lock the object (kCompacting): writers cannot acquire it, while
+    //    readers still take validated snapshots (DESIGN.md §8). The pool is
+    //    detached (owner -1), so no free can tombstone the slot under us;
+    //    only transient writer locks are possible, bounded by the deadline
+    //    below.
     uint64_t w = LoadHeaderWord(sptr);
     Deadline lock_deadline(kObjectLockDeadlineNs);
     for (;;) {
@@ -436,7 +438,10 @@ bool CompactionEngine::CopyObjects(size_t budget) NO_THREAD_SAFETY_ANALYSIS {
     }
 
     // 2. Copy into dst, preserving the offset when possible (§3.1.2:
-    //    preserving offsets keeps pointers direct).
+    //    preserving offsets keeps pointers direct). The copy is locked
+    //    kCompacting too: IndexRepair publishes its address before the
+    //    remap, and a write landing on it there would be invisible to
+    //    readers of the source.
     const ObjectHeader h = ObjectHeader::Unpack(LoadHeaderWord(sptr));
     uint32_t dslot = slot;
     if (!dst->AllocSlotAt(slot)) {
@@ -451,9 +456,7 @@ bool CompactionEngine::CopyObjects(size_t budget) NO_THREAD_SAFETY_ANALYSIS {
     ReadPayload(sptr, slot_size, payload_.data(), capacity, mode);
     uint8_t* dptr = worker_->SlotPtr(dst->base(), dst, dslot);
     WritePayload(dptr, slot_size, h.version, payload_.data(), capacity, mode);
-    ObjectHeader fresh_header = h;
-    fresh_header.lock = LockState::kFree;
-    StoreHeaderWord(dptr, fresh_header.Pack());
+    StoreHeaderWord(dptr, h.Pack());
     CORM_CHECK(dst->InsertId(h.obj_id, dslot)) << "ID conflict after check";
     pair_bytes_copied_ += capacity;
     copied_.push_back({slot, dslot, h.obj_id});
@@ -468,18 +471,24 @@ void CompactionEngine::AbortPair(Status why) {
   alloc::Block* dst = pool_[dst_idx_].get();
   // First undo any keyed-index repairs (newest first): the destination
   // slots are about to be freed, and a repaired entry must never outlive
-  // the copy it points at. The sources are still kCompacting here, so a
-  // concurrent lookup bounces and retries — it cannot observe the window.
+  // the copy it points at. Sources and copies still hold the same bytes
+  // and both exclude writers, so a lookup through either reads the value.
   for (auto it = index_repaired_.rbegin(); it != index_repaired_.rend();
        ++it) {
     node_->index_view()->Repair(it->key, it->prev);
   }
   index_repaired_.clear();
   index_repair_targets_.clear();
-  // Undo the copies: release the destination slots and IDs, then unlock the
-  // source objects (kCompacting → kFree, the pre-copy state). Readers that
-  // bounced off kCompacting simply retry against the unchanged source.
+  // Undo the copies: tombstone each copy, release its slot and ID, and only
+  // then unlock its source (kCompacting → kFree, the pre-copy state). Once
+  // the source takes writes, a reader still holding the copy's address
+  // (a hint read before the undo) gets kObjectMoved, never the old bytes.
   for (const CopiedObject& obj : copied_) {
+    uint8_t* dptr = worker_->SlotPtr(dst->base(), dst, obj.dst_slot);
+    ObjectHeader copy = ObjectHeader::Unpack(LoadHeaderWord(dptr));
+    CORM_CHECK(copy.lock == LockState::kCompacting);
+    copy.lock = LockState::kTombstone;
+    StoreHeaderWord(dptr, copy.Pack());
     dst->EraseId(obj.obj_id);
     dst->FreeSlot(obj.dst_slot);
     uint8_t* sptr = worker_->SlotPtr(src->base(), src, obj.src_slot);
@@ -503,11 +512,22 @@ void CompactionEngine::StepRemap() {
   auto remap_ns = node_->MergeRemap(src, dst, &retired_);
   if (!remap_ns.ok()) {
     // The remap failed before mutating anything (allocator-level error):
-    // surface it and fall through to Reclaim, which adopts the pool back.
-    status_ = remap_ns.status();
-    SetPhase(CompactionPhase::kReclaim);
+    // roll the pair back — index entries, copies, source locks — and end
+    // the run with the error; Reclaim adopts the pool back.
+    AbortPair(remap_ns.status());
     return;
   }
+  // src's bytes now resolve to dst's frames: publish the copies. Until
+  // here they excluded writers, so no write could land on a copy while
+  // readers of the source still saw the old frames.
+  for (const CopiedObject& obj : copied_) {
+    uint8_t* dptr = worker_->SlotPtr(dst->base(), dst, obj.dst_slot);
+    ObjectHeader h = ObjectHeader::Unpack(LoadHeaderWord(dptr));
+    CORM_CHECK(h.lock == LockState::kCompacting);
+    h.lock = LockState::kFree;
+    StoreHeaderWord(dptr, h.Pack());
+  }
+  copied_.clear();
   // A peer that translated src's vaddr before the remap may still be
   // reading src's pages; Fixup frees them once every peer moved on.
   has_retired_ = true;
@@ -605,10 +625,11 @@ void CompactionEngine::ReapZombies() {
 void CompactionEngine::Shutdown() {
   if (req_ != nullptr) {
     if ((phase_ == CompactionPhase::kCopy ||
-         phase_ == CompactionPhase::kIndexRepair) &&
+         phase_ == CompactionPhase::kIndexRepair ||
+         phase_ == CompactionPhase::kRemap) &&
         !copied_.empty()) {
-      // A pair stopped mid-copy or mid-repair rolls back the same way:
-      // AbortPair restores any repaired index entries before it frees the
+      // A pair stopped before its remap rolls back the same way: AbortPair
+      // restores any repaired index entries before it frees the
       // destination copies they pointed at.
       AbortPair(Status::Internal("node stopped during compaction"));
     }

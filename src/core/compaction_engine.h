@@ -30,18 +30,20 @@
 //                 pairs fall back to an exact scan for the most-utilized
 //                 feasible destination. Budget: slice_pairs candidates.
 //   Copy          per-object kCompacting lock + payload copy into the
-//                 destination, offset-preserving when possible. Budget:
-//                 slice_objects per slice; a lock that stays write-held past
-//                 a bounded deadline rolls the pair back and aborts.
+//                 destination (the copy is written kCompacting too),
+//                 offset-preserving when possible. Budget: slice_objects
+//                 per slice; a lock that stays write-held past a bounded
+//                 deadline rolls the pair back and aborts. kCompacting
+//                 excludes writers only: readers snapshot either side.
 //   IndexRepair   budgeted walk of the keyed index (DESIGN.md §13):
 //                 entries hinting at the pair's moved objects are rewritten
-//                 to the destination copies while the source objects still
-//                 sit under their kCompacting locks, so a concurrent
-//                 one-sided lookup resolves either the (locked, retried)
-//                 source or the valid destination copy — never a dangling
-//                 hint. Undone entry-by-entry if the pair aborts.
+//                 to the destination copies while sources and copies both
+//                 sit under kCompacting, so a concurrent one-sided lookup
+//                 reads the same current bytes through either — never a
+//                 dangling hint. Undone entry-by-entry if the pair aborts.
 //   Remap         one batched MTT repair epoch retargets src's vaddr (and
-//                 chained ghosts) onto dst's frames.
+//                 chained ghosts) onto dst's frames, then publishes the
+//                 copies kFree. A failed remap rolls the pair back.
 //   Fixup         wait (slice by slice) until no peer can still be reading
 //                 src's old pages, free them, retire src to the graveyard,
 //                 audit dst, commit per-pair counters, re-enter
@@ -135,7 +137,8 @@ class CompactionEngine {
   size_t FallbackDst(size_t src_idx) const;
   // Prepares the per-pair copy state and enters kCopy.
   void BeginPair(size_t src_idx, size_t dst_idx);
-  // Undoes a half-copied pair (frees dst slots, unlocks src objects) and
+  // Undoes a pair that has not been remapped (restores repaired index
+  // entries, tombstones and frees the copies, unlocks src objects) and
   // aborts the run with `why`.
   void AbortPair(Status why);
   // Adopts completed zombie replies' blocks back into the allocator.

@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "core/object_layout.h"
 #include "core/worker.h"
+#include "sim/fault_injector.h"
 
 namespace corm::core {
 
@@ -113,6 +114,7 @@ CormNode::~CormNode() {
     sched_running_ = false;
   }
   stop_.store(true, std::memory_order_relaxed);
+  rpc_queue_.WakeAll();  // parked workers notice stop_ now, not at timeout
   for (auto& t : threads_) t.join();
   threads_.clear();
   // Sync-lock table teardown (after every thread that could touch it has
@@ -313,6 +315,7 @@ NodeStats CormNode::stats() const {
     out.dir_cache_misses += s.dir_cache_misses.Load();
     out.rpc_batches += s.rpc_batches.Load();
     out.rpc_polled += s.rpc_polled.Load();
+    out.park_missed_wakeups += s.park_missed_wakeups.Load();
     out.compaction_slices += s.compaction_slices.Load();
     out.compaction_phase_transitions += s.compaction_phase_transitions.Load();
     out.compaction_planner_rejections +=
@@ -355,6 +358,10 @@ NodeStats CormNode::stats() const {
 
 Result<uint64_t> CormNode::MergeRemap(alloc::Block* src, alloc::Block* dst,
                                       sim::PhysBlock* retired) {
+  if (auto* fi = sim::GlobalFaultInjector();
+      fi != nullptr && fi->ShouldFire(sim::fault_sites::kCompactionRemapFail)) {
+    return Status::Internal("injected remap failure (nothing remapped)");
+  }
   uint64_t ns = 0;
   std::optional<GhostToRelease> release;
   {

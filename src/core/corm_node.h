@@ -127,12 +127,14 @@ struct CormConfig {
   size_t poll_batch = 16;
   // Directory shards (rounded up to a power of two).
   size_t dir_shards = 16;
-  // Idle workers escalate from yields to short sleeps after a dry spell, so
-  // on an oversubscribed host the scheduler rotation shrinks to the threads
-  // that actually have work (a parked worker wakes within ~1 ms, and awake
-  // siblings steal from its ring meanwhile; busy workers never park).
-  // Biggest single lever on few-core hosts, where an all-workers yield
-  // rotation otherwise taxes every RPC round trip.
+  // Idle workers escalate from yields to parking on a futex after a dry
+  // spell, so on an oversubscribed host the scheduler rotation shrinks to
+  // the threads that actually have work. A request pushed onto a parked
+  // worker's ring, or a message sent to its inbox, wakes it at once; only
+  // replicated-log records wait for the park's ≤~1 ms timeout (DESIGN.md
+  // §7.3). Busy workers never park. Biggest single lever on few-core hosts,
+  // where an all-workers yield rotation otherwise taxes every RPC round
+  // trip.
   bool idle_park = true;
 
   // --- Remote synchronization & doorbell batching (DESIGN.md §12). -------
@@ -198,6 +200,9 @@ struct NodeStatShard {
   StatCounter dir_cache_misses;
   StatCounter rpc_batches;  // PollBatch calls that returned >= 1 message
   StatCounter rpc_polled;   // messages those batches carried
+  // Idle parks that ended by timeout while the worker's own ring or inbox
+  // already held work: a producer that did not wake it (DESIGN.md §7.3).
+  StatCounter park_missed_wakeups;
   // Replicated-log instrumentation (DESIGN.md §11). Ship-side counters are
   // incremented from the client thread driving a ReplicatedContext (they
   // land on the primary node's overflow shard via client_stat_shard());
@@ -265,6 +270,7 @@ struct NodeStats {
   uint64_t dir_cache_misses = 0;
   uint64_t rpc_batches = 0;
   uint64_t rpc_polled = 0;
+  uint64_t park_missed_wakeups = 0;
   uint64_t repl_ship_records = 0;
   uint64_t repl_acked_writes = 0;
   uint64_t repl_degraded_writes = 0;
@@ -374,11 +380,17 @@ class CormNode {
   // requests they already dequeued (up to one drained batch), then stop
   // polling the RPC rings until ResumeService(). Intra-node control
   // messages (corrections, compaction, audits) keep flowing so the control
-  // plane and teardown never wedge on a crashed node.
+  // plane and teardown never wedge on a crashed node. Resuming wakes every
+  // parked worker: requests queued during the pause did not.
   void PauseService() { paused_.store(true, std::memory_order_release); }
-  void ResumeService() { paused_.store(false, std::memory_order_release); }
+  void ResumeService() {
+    // seq_cst store, then WakeAll's loads: a worker parking concurrently
+    // either sees the service back or is woken (common/parker.h).
+    paused_.store(false, std::memory_order_seq_cst);
+    rpc_queue_.WakeAll();
+  }
   bool IsServingRequests() const {
-    return !paused_.load(std::memory_order_acquire);
+    return !paused_.load(std::memory_order_seq_cst);
   }
 
   // --- Control plane (callable from any non-worker thread). -------------

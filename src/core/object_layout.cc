@@ -121,7 +121,7 @@ void ReadPayload(const uint8_t* slot, uint32_t slot_size, void* out,
 bool SnapshotConsistent(const uint8_t* slot, uint32_t slot_size,
                         ConsistencyMode mode) {
   const ObjectHeader h = ObjectHeader::Unpack(LoadHeaderWord(slot));
-  if (h.lock != LockState::kFree) return false;
+  if (!Readable(h.lock)) return false;
   if (mode == ConsistencyMode::kCachelineVersions) {
     const uint32_t lines = SlotCachelines(slot_size);
     for (uint32_t line = 1; line < lines; ++line) {

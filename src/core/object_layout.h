@@ -53,9 +53,18 @@ inline constexpr uint32_t kChecksumSize = 4;
 enum class LockState : uint8_t {
   kFree = 0,        // readable, lockable
   kWriteLocked = 1, // a writer holds the object
-  kCompacting = 2,  // compaction is relocating the object (§3.2.3)
+  kCompacting = 2,  // compaction is relocating the object (§3.2.3):
+                    // readable, but excludes writers, frees and log apply
   kTombstone = 3,   // slot freed; scanners must skip it
 };
+
+// True for the lock states a reader may take a snapshot under. Nothing can
+// change a kCompacting object's bytes — writers, frees and replicated-log
+// apply all back off — so a snapshot that validates is the object's current
+// value (DESIGN.md §8, the deviation from paper §3.2.3).
+constexpr bool Readable(LockState lock) {
+  return lock == LockState::kFree || lock == LockState::kCompacting;
+}
 
 // Decoded header word.
 struct ObjectHeader {
@@ -224,7 +233,7 @@ void ReadPayload(const uint8_t* slot, uint32_t slot_size, void* out,
                  ConsistencyMode mode = ConsistencyMode::kCachelineVersions);
 
 // Lock-free consistency check on a *snapshot* of a slot (e.g. a DirectRead
-// buffer): header must be kFree, and either every cacheline version byte
+// buffer): header must be Readable, and either every cacheline version byte
 // equals the header version (paper §3.2.3) or the trailing checksum
 // matches the payload.
 bool SnapshotConsistent(

@@ -2,9 +2,7 @@
 #include "core/worker.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "common/cpu_relax.h"
 #include "common/logging.h"
@@ -25,6 +23,7 @@ Worker::Worker(CormNode* node, int id)
       rng_(node->config().seed * 7919 + static_cast<uint64_t>(id) + 1),
       stats_(node->stat_shard(id)),
       dir_cache_enabled_(node->config().dir_cache),
+      parker_(node->rpc_queue()->parker(id)),
       scratch_enabled_(node->config().msg_pool),
       dir_cache_(kDirCacheSlots) {  // NOLINT(corm-hotpath-alloc) ctor only
   static_assert((kDirCacheSlots & (kDirCacheSlots - 1)) == 0,
@@ -39,6 +38,18 @@ void Worker::Send(WorkerMsg msg) {
   while (!inbox_.TryPush(msg)) {
     CpuRelax();
   }
+  parker_->Wake();
+}
+
+void Worker::ParkIdle(uint64_t timeout_ns) {
+  rdma::RpcQueue* rpc = node_->rpc_queue();
+  // The work whose producers wake this worker: its inbox (Send) and, while
+  // the node serves, its own RPC ring (RpcQueue::Push).
+  const auto has_work = [&] {
+    return inbox_.NonEmpty() ||
+           (node_->IsServingRequests() && rpc->RingNonEmpty(id_));
+  };
+  if (parker_->Park(timeout_ns, has_work)) ++stats_.park_missed_wakeups;
 }
 
 void Worker::Run() {
@@ -48,7 +59,7 @@ void Worker::Run() {
   const bool idle_park = node_->config().idle_park;
   rdma::RpcMessage* batch[kMaxPollBatch];
   // Consecutive dry polls; reset by any work. Past kIdleYields the worker
-  // parks in escalating sleeps instead of re-entering the yield rotation.
+  // parks instead of re-entering the yield rotation.
   uint32_t idle = 0;
   uint64_t passes = 0;
   // Run loop, not a completion wait: bounded by stop_. NOLINT(corm-spin-wait)
@@ -64,23 +75,9 @@ void Worker::Run() {
     // requests stall until ResumeService or a restart purge, and clients
     // time out per their RetryPolicy.
     if (node_->IsServingRequests()) {
-      size_t n = node_->rpc_queue()->PollBatch(id_, batch, batch_max);
-      if (n == 0) {
-        // Steal — but only from rings whose owner is parked. An awake owner
-        // drains its own ring faster than we can, and racing it for its
-        // traffic would reset every idle sibling's dry-spell counter,
-        // keeping the whole pool spinning on load one worker could serve.
-        // A parked owner's ring, by contrast, has nobody else on it: a
-        // hinted op that lands there (e.g. an owner-routed Free) would
-        // otherwise wait out the owner's sleep.
-        const int nw = node_->num_workers();
-        for (int i = 1; i < nw && n == 0; ++i) {
-          const int r = (id_ + i) % nw;
-          if (node_->worker(r)->parked()) {
-            n = node_->rpc_queue()->PollBatch(r, batch, batch_max);
-          }
-        }
-      }
+      // Only our own ring: a request pushed onto a parked worker's ring
+      // wakes that worker, so no sibling needs to steal it.
+      const size_t n = node_->rpc_queue()->PollBatch(id_, batch, batch_max);
       if (n > 0) {
         ++stats_.rpc_batches;
         stats_.rpc_polled += n;
@@ -114,26 +111,24 @@ void Worker::Run() {
       continue;
     }
     // Idle. A yield lets the threads we might be blocking run; once the dry
-    // spell outlasts kIdleYields, park in escalating sleeps (capped at
-    // ~1 ms). A parked worker's ring is stolen from by awake siblings, so
-    // the cap bounds only inbox latency (control-plane messages), not RPC
-    // latency. On an oversubscribed host this removes idle workers from the
-    // scheduler rotation that every RPC round trip must traverse — the
-    // single biggest hot-path cost on a few-core machine.
+    // spell outlasts kIdleYields, park on the futex until a producer wakes
+    // us (a request pushed onto our ring, a message sent to our inbox). The
+    // timeout escalates from 2 us to ~1 ms; it bounds only the sources that
+    // do not wake, the replicated-log ingress rings. On an oversubscribed
+    // host parking removes idle workers from the scheduler rotation that
+    // every RPC round trip must traverse — the single biggest hot-path cost
+    // on a few-core machine.
     ++idle;
     if (!idle_park || idle <= kIdleYields) {
       CpuRelax();
     } else {
       const uint32_t exp = std::min(idle - kIdleYields, 10u);
-      parked_.store(true, std::memory_order_release);
-      std::this_thread::sleep_for(std::chrono::microseconds(1u << exp));
-      parked_.store(false, std::memory_order_relaxed);
+      ParkIdle(uint64_t{1000} << exp);
     }
   }
   // Stop raced an active run: complete its request (the control-plane
   // caller is still spinning on it) and hand collected blocks back.
   engine_->Shutdown();
-  parked_.store(false, std::memory_order_relaxed);
 }
 
 void Worker::HandleInbox(WorkerMsg& msg) {
@@ -542,9 +537,10 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
   for (int attempt = 0; attempt < 16; ++attempt) {
     const uint64_t w1 = LoadHeaderWord(ptr);
     const ObjectHeader h = ObjectHeader::Unpack(w1);
-    if (h.lock == LockState::kWriteLocked ||
-        h.lock == LockState::kCompacting) {
-      Complete(rpc, Status::ObjectLocked("object locked; retry"));
+    // A kCompacting object reads through: compaction only copies it, and
+    // every writer backs off until the remap publishes the copy.
+    if (h.lock == LockState::kWriteLocked) {
+      Complete(rpc, Status::ObjectLocked("object write-locked; retry"));
       return;
     }
     if (h.lock == LockState::kTombstone || h.obj_id != req.addr.obj_id) {

@@ -18,6 +18,7 @@
 #include "alloc/block.h"
 #include "alloc/thread_allocator.h"
 #include "common/mpmc_queue.h"
+#include "common/parker.h"
 #include "common/random.h"
 #include "common/slice.h"
 #include "core/addr.h"
@@ -112,22 +113,22 @@ class Worker {
   ~Worker();  // out-of-line: CompactionEngine is incomplete here
 
   // Thread body; returns when the node's stop flag is set. Drains the
-  // worker's own RPC ring in batches (stealing only from rings whose owner
-  // worker is parked) and interleaves inbox messages between batch items so
-  // correction queries are never starved behind a long batch.
+  // worker's own RPC ring in batches and interleaves inbox messages between
+  // batch items so correction queries are never starved behind a long
+  // batch.
   void Run();
 
-  // Enqueues a message (any thread). Spins while the inbox is full.
+  // Enqueues a message (any thread) and wakes the worker if it is parked.
+  // Spins while the inbox is full.
   void Send(WorkerMsg msg);
 
   int id() const { return id_; }
   alloc::ThreadAllocator* allocator() { return &allocator_; }
 
-  // True while the worker is sleeping out an idle spell. Siblings steal
-  // from a ring only while its owner is parked — an awake owner drains its
-  // own ring, and stealing from it would keep every idle worker spinning on
-  // load that belongs to one worker (see Run()).
-  bool parked() const { return parked_.load(std::memory_order_acquire); }
+  // True while the worker is parked on its futex and no producer has woken
+  // it yet. A parked worker holds no pointer translated from a virtual
+  // address (see passes()).
+  bool parked() const { return parker_->parked(); }
 
   // Run-loop iterations started. Stored with release at the top of each
   // iteration, where the worker holds no pointer translated from a virtual
@@ -146,6 +147,9 @@ class Worker {
 
  private:
   // --- Dispatch. ---------------------------------------------------------
+  // Parks on the ring's futex for at most `timeout_ns` unless work is
+  // already queued; counts a timeout that finds work (a missed wake-up).
+  void ParkIdle(uint64_t timeout_ns);
   void HandleInbox(WorkerMsg& msg);
   void HandleRpc(rdma::RpcMessage* rpc, bool forwarded);
 
@@ -249,7 +253,7 @@ class Worker {
   static constexpr int kWriteResolves = 4;
   // Random ID draws before DrawObjectId falls back to scanning.
   static constexpr int kIdRandomDraws = 32;
-  // Dry polls an idle worker yields through before parking in short sleeps.
+  // Dry polls an idle worker yields through before parking.
   static constexpr uint32_t kIdleYields = 4;
 
   // Direct-mapped directory cache slot: valid while the stamped epoch still
@@ -264,7 +268,6 @@ class Worker {
   CormNode* const node_;
   const int id_;
   alloc::ThreadAllocator allocator_;
-  std::atomic<bool> parked_{false};
   std::atomic<uint64_t> passes_{0};
   MpmcQueue<WorkerMsg> inbox_;
   Rng rng_;
@@ -272,6 +275,9 @@ class Worker {
   // are plain increments with no shared-line contention.
   NodeStatShard& stats_;
   const bool dir_cache_enabled_;
+  // The parking spot of this worker's RPC ring (owned by the RpcQueue, so
+  // a Push needs no pointer back into the worker).
+  Parker* const parker_;
   const bool scratch_enabled_;
   // Reusable read-payload staging buffer (capacity persists across ops, so
   // the steady-state read path performs no heap allocation).

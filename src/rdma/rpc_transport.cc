@@ -149,7 +149,7 @@ RpcQueue::RpcQueue(size_t ring_capacity_pow2, int num_rings) {
   rings_.reserve(static_cast<size_t>(n));  // NOLINT(corm-hotpath-alloc) ctor
   for (int i = 0; i < n; ++i) {
     rings_.push_back(  // NOLINT(corm-hotpath-alloc) construction only
-        std::make_unique<MpmcQueue<RpcMessage*>>(ring_capacity_pow2));
+        std::make_unique<Ring>(ring_capacity_pow2));
   }
 }
 
@@ -164,14 +164,22 @@ bool RpcQueue::Push(RpcMessage* msg, int ring_hint) {
   // Prefer the chosen ring; sweep the rest so a single full ring does not
   // fail the push while other workers have headroom.
   for (size_t i = 0; i < n; ++i) {
-    if (rings_[(first + i) % n]->TryPush(msg)) return true;
+    Ring& ring = *rings_[(first + i) % n];
+    if (ring.queue.TryPush(msg)) {
+      ring.parker.Wake();
+      return true;
+    }
   }
   return false;
 }
 
+void RpcQueue::WakeAll() {
+  for (auto& ring : rings_) ring->parker.Wake();
+}
+
 RpcMessage* RpcQueue::Poll() {
   for (auto& ring : rings_) {
-    if (auto msg = ring->TryPop()) return *msg;
+    if (auto msg = ring->queue.TryPop()) return *msg;
   }
   return nullptr;
 }
@@ -181,12 +189,12 @@ size_t RpcQueue::PollBatch(int ring, RpcMessage** out, size_t max) {
       (ring >= 0 && static_cast<size_t>(ring) < rings_.size())
           ? static_cast<size_t>(ring)
           : 0;
-  return rings_[own]->TryPopBatch(out, max);
+  return rings_[own]->queue.TryPopBatch(out, max);
 }
 
 size_t RpcQueue::ApproxDepth() const {
   size_t total = 0;
-  for (const auto& ring : rings_) total += ring->ApproxSize();
+  for (const auto& ring : rings_) total += ring->queue.ApproxSize();
   return total;
 }
 

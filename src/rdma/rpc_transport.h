@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/mpmc_queue.h"
+#include "common/parker.h"
 #include "common/result.h"
 #include "common/retry.h"
 #include "common/slice.h"
@@ -126,7 +127,8 @@ class NicMessageRateLimiter {
 };
 
 // The inbound request queue on the server node: one lock-free ring per
-// worker plus a shared rate limiter. Capacity is per ring.
+// worker plus a shared rate limiter. Capacity is per ring. Each ring has a
+// Parker that its owning worker sleeps on when idle; Push wakes it.
 class RpcQueue {
  public:
   explicit RpcQueue(size_t ring_capacity_pow2 = 4096, int num_rings = 1);
@@ -137,8 +139,24 @@ class RpcQueue {
   // Enqueues a request; false when every ring is full (client backs off).
   // `ring_hint` targets a specific worker's ring (owner affinity); out of
   // range (or -1) round-robins. A full hinted ring falls through to the
-  // others before giving up.
+  // others before giving up. Wakes the owner of the ring it landed on if
+  // that owner is parked.
   bool Push(RpcMessage* msg, int ring_hint = -1);
+
+  // The parking spot of `ring`'s owning worker. Anything that hands that
+  // worker work (Push, the worker's inbox) wakes it through here.
+  Parker* parker(int ring) {
+    return &rings_[static_cast<size_t>(ring)]->parker;
+  }
+
+  // Wakes every ring owner (node stop, service resume).
+  void WakeAll();
+
+  // True when `ring` holds a request not yet polled; the seq_cst check a
+  // parking owner makes after announcing its park.
+  bool RingNonEmpty(int ring) const {
+    return rings_[static_cast<size_t>(ring)]->queue.NonEmpty();
+  }
 
   // Dequeues one request from any ring, or nullptr when all are empty.
   // Control-plane use (tests, the cluster restart purge); workers use
@@ -147,17 +165,19 @@ class RpcQueue {
 
   // Drains up to `max` requests from `ring` only (one batched pop — a
   // single head CAS — amortizing queue synchronization over the batch).
-  // Returns the number of messages written to `out`. Cross-ring stealing is
-  // the *caller's* policy: the worker loop steals only from rings whose
-  // owner is parked, so an idle worker cannot keep itself awake by racing
-  // the ring owner for its traffic.
+  // Returns the number of messages written to `out`.
   size_t PollBatch(int ring, RpcMessage** out, size_t max);
 
   size_t ApproxDepth() const;
 
  private:
-  // unique_ptr: MpmcQueue is neither movable nor copyable.
-  std::vector<std::unique_ptr<MpmcQueue<RpcMessage*>>> rings_;
+  struct Ring {
+    explicit Ring(size_t capacity_pow2) : queue(capacity_pow2) {}
+    MpmcQueue<RpcMessage*> queue;
+    Parker parker;
+  };
+  // unique_ptr: neither MpmcQueue nor Parker is movable.
+  std::vector<std::unique_ptr<Ring>> rings_;
   std::atomic<uint64_t> rr_{0};  // round-robin cursor for unhinted pushes
   NicMessageRateLimiter limiter_;
 };

@@ -64,6 +64,10 @@ inline constexpr const char* kIndexStaleHint = "index.stale_hint";
 // coordinates while objects sit kCompacting — the interleave the
 // lookup-during-compaction tests race against.
 inline constexpr const char* kIndexRepairDelay = "index.repair_delay";
+// Fails a compaction pair's MergeRemap before it retargets any page. The
+// engine must roll the pair back (index entries, copies, source locks) so
+// the pair's keys read, write and audit as if it never ran.
+inline constexpr const char* kCompactionRemapFail = "compaction.remap_fail";
 }  // namespace fault_sites
 
 // When a site fires. All three triggers compose (any match fires).

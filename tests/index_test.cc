@@ -13,8 +13,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/sanitizer.h"
@@ -23,6 +25,8 @@
 #include "core/object_layout.h"
 #include "dsm/cluster.h"
 #include "dsm/dsm_context.h"
+#include "index/index_layout.h"
+#include "index/index_table.h"
 #include "sim/fault_injector.h"
 #include "workload/keyed_driver.h"
 
@@ -53,23 +57,6 @@ Context::Options ShortDeadlines() {
   opts.recovery_retry.deadline_ns = 40'000'000;
 #endif
   return opts;
-}
-
-// Outcomes a keyed op may legally produce while racing compaction or a
-// paused leader; anything else is a bug.
-bool TransientKeyed(const Status& st) {
-  switch (st.code()) {
-    case StatusCode::kTimeout:
-    case StatusCode::kNetworkError:
-    case StatusCode::kObjectLocked:
-    case StatusCode::kTornRead:
-    case StatusCode::kObjectMoved:
-    case StatusCode::kStalePointer:
-    case StatusCode::kQpBroken:
-      return true;
-    default:
-      return false;
-  }
 }
 
 // --- Both views name the same object. --------------------------------------
@@ -133,14 +120,23 @@ TEST(IndexTest, PutWaitsOutAWriteLockHeldPastTheServerSpin) {
 
   std::atomic<bool> put_done{false};
   Status put_status;
+  const uint64_t writes_before = node.stats().rpc_writes;
   std::thread writer([&] {
     std::vector<uint8_t> value(kValue);
     workload::FillValue(43, value.data(), kValue);
     put_status = ctx->Put(42, value.data(), kValue).status();
     put_done.store(true);
   });
-  // Far past the spin even on a loaded host, so the Put must back off.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Hold the lock until the Put's second write RPC has reached a worker:
+  // the first one gave up on the lock, and the Put backed off and retried
+  // rather than failing.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (node.stats().rpc_writes < writes_before + 2 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(node.stats().rpc_writes, writes_before + 2);
   // The write is transient, not failed: the Put is still backing off.
   EXPECT_FALSE(put_done.load());
   header.store(unlocked);
@@ -224,11 +220,11 @@ TEST(IndexTest, StaleHintFaultFallsBackToRpc) {
 }
 
 // --- Lookup during compaction: the IndexRepair interleave. -----------------
-// The leader is frozen inside the kIndexRepair sub-phase — source objects
-// under kCompacting locks, bucket entries part-way through their rewrite —
-// while a client drives keyed Gets straight into that window. Every Get
-// must return the key's bytes or a transient error, never another
-// object's bytes.
+// The leader is frozen at a compaction phase transition — source objects
+// and their destination copies under kCompacting, bucket entries before or
+// after their rewrite — while a client drives keyed Gets straight into that
+// window. kCompacting excludes writers only, so every Get must return the
+// key's bytes, and never another object's bytes.
 
 struct PhaseGate {
   std::mutex mu;
@@ -236,21 +232,115 @@ struct PhaseGate {
   bool paused = false;
   bool release = false;
   bool open = false;  // once true, the hook stops pausing
+
+  // A phase hook that freezes the leader each time it enters `at`, until
+  // Open().
+  std::function<void(core::CompactionPhase)> FreezeAt(
+      core::CompactionPhase at) {
+    return [this, at](core::CompactionPhase p) {
+      if (p != at) return;
+      std::unique_lock<std::mutex> lock(mu);
+      if (open) return;
+      paused = true;
+      release = false;
+      cv.notify_all();
+      cv.wait(lock, [this] { return release; });
+    };
+  }
+
+  void WaitPaused() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return paused; });
+  }
+
+  // Lets this and every later pause through.
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu);
+    open = true;
+    release = true;
+    cv.notify_all();
+  }
 };
+
+// Runs Compact(class_idx) on its own thread. The destructor opens the gate
+// and joins, so a failed assertion inside the frozen window still ends the
+// run instead of aborting the process.
+class Compactor {
+ public:
+  Compactor(CormNode* node, uint32_t class_idx, PhaseGate* gate)
+      : gate_(gate), thread_([this, node, class_idx] {
+          report_ = node->Compact(class_idx);
+        }) {}
+  ~Compactor() { Join(); }
+  Compactor(const Compactor&) = delete;
+  Compactor& operator=(const Compactor&) = delete;
+
+  // Opens the gate, waits for the run and returns its report.
+  const Result<core::CompactionReport>& Join() {
+    gate_->Open();
+    if (thread_.joinable()) thread_.join();
+    return report_;
+  }
+
+ private:
+  PhaseGate* const gate_;
+  Result<core::CompactionReport> report_ = Status::Internal("never ran");
+  std::thread thread_;
+};
+
+// A client whose RPCs land on worker 1's ring. Compaction runs on worker 0,
+// which serves nothing while a PhaseGate holds it.
+std::unique_ptr<Context> OffLeaderClient(CormNode* node,
+                                         Context::Options options = {}) {
+  for (;;) {
+    auto ctx = Context::Create(node, options);
+    if (ctx->home_ring() != 0) return ctx;
+  }
+}
+
+core::LockState LockAt(CormNode* node, const GlobalAddr& addr) {
+  return core::ObjectHeader::Unpack(
+             core::LoadHeaderWord(
+                 node->rnic()->address_space()->TranslatePtr(addr.vaddr)))
+      .lock;
+}
+
+// Loads keys 0..255 and deletes the even ones: classic fragmentation, with
+// the survivors' bucket entries pointing into soon-to-move blocks. Returns
+// each survivor's pointer as Put returned it.
+std::vector<std::pair<uint64_t, GlobalAddr>> LoadFragmented(Context* ctx) {
+  constexpr uint64_t kKeys = 256;
+  std::vector<uint8_t> buf(kValue);
+  std::vector<std::pair<uint64_t, GlobalAddr>> survivors;
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    workload::FillValue(k, buf.data(), kValue);
+    auto addr = ctx->Put(k, buf.data(), kValue);
+    EXPECT_TRUE(addr.ok()) << addr.status();
+    if (k % 2 == 1 && addr.ok()) survivors.emplace_back(k, *addr);
+  }
+  for (uint64_t k = 0; k < kKeys; k += 2) EXPECT_TRUE(ctx->Del(k).ok());
+  return survivors;
+}
+
+// Survivors whose object the frozen pair is moving (source kCompacting).
+std::vector<std::pair<uint64_t, GlobalAddr>> MovingKeys(
+    CormNode* node,
+    const std::vector<std::pair<uint64_t, GlobalAddr>>& survivors) {
+  std::vector<std::pair<uint64_t, GlobalAddr>> moving;
+  for (const auto& [k, addr] : survivors) {
+    if (LockAt(node, addr) == core::LockState::kCompacting) {
+      moving.emplace_back(k, addr);
+    }
+  }
+  return moving;
+}
 
 TEST(IndexTest, LookupDuringIndexRepairSeesNoDanglingHint) {
   PhaseGate gate;
   CormConfig config = BaseConfig();
   config.compaction_slice_objects = 4;  // many small IndexRepair slices
-  config.compaction_phase_hook = [&gate](core::CompactionPhase p) {
-    if (p != core::CompactionPhase::kIndexRepair) return;
-    std::unique_lock<std::mutex> lock(gate.mu);
-    if (gate.open) return;
-    gate.paused = true;
-    gate.release = false;
-    gate.cv.notify_all();
-    gate.cv.wait(lock, [&gate] { return gate.release; });
-  };
+  config.compaction_phase_hook =
+      gate.FreezeAt(core::CompactionPhase::kIndexRepair);
   CormNode node(config);
   auto ctx = Context::Create(&node);
 
@@ -263,70 +353,193 @@ TEST(IndexTest, LookupDuringIndexRepairSeesNoDanglingHint) {
   injector.Arm(sim::fault_sites::kIndexRepairDelay, stall);
   sim::ScopedFaultInjector install(&injector);
 
-  // Load keys, then delete every other one: classic fragmentation, with
-  // the survivors' bucket entries pointing into soon-to-move blocks.
-  constexpr uint64_t kKeys = 256;
+  const auto survivors = LoadFragmented(ctx.get());
   std::vector<uint8_t> buf(kValue), out(kValue);
-  std::vector<uint64_t> survivors;
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    workload::FillValue(k, buf.data(), kValue);
-    ASSERT_TRUE(ctx->Put(k, buf.data(), kValue).ok());
-  }
-  for (uint64_t k = 0; k < kKeys; ++k) {
-    if (k % 2 == 0) {
-      ASSERT_TRUE(ctx->Del(k).ok());
-    } else {
-      survivors.push_back(k);
-    }
-  }
 
   auto cls = node.ClassForPayload(kValue);
   ASSERT_TRUE(cls.ok());
-  std::atomic<bool> done{false};
-  Result<core::CompactionReport> report = Status::Internal("never ran");
-  std::thread compactor([&] {
-    report = node.Compact(*cls);
-    done.store(true, std::memory_order_release);
-  });
+  Compactor compactor(&node, *cls, &gate);
 
   // Wait for the leader to freeze inside kIndexRepair, then probe the
-  // window with a cold client (short deadlines: an RPC fallback landing on
-  // the frozen leader's ring must time out, not hang the test).
-  {
-    std::unique_lock<std::mutex> lock(gate.mu);
-    gate.cv.wait(lock, [&gate] { return gate.paused; });
-  }
-  auto prober = Context::Create(&node, ShortDeadlines());
-  size_t ok_reads = 0, transient_reads = 0;
-  for (const uint64_t k : survivors) {
+  // window with a cold client. Objects under compaction read through, so
+  // every Get resolves one-sided to its bytes.
+  gate.WaitPaused();
+  const auto moving = MovingKeys(&node, survivors);
+  EXPECT_FALSE(moving.empty());
+  auto prober = OffLeaderClient(&node, ShortDeadlines());
+  for (const auto& [k, addr] : survivors) {
     const Status st = prober->Get(k, out.data(), kValue);
-    if (st.ok()) {
-      ++ok_reads;
-      EXPECT_TRUE(workload::CheckValue(k, out.data(), kValue))
-          << "key " << k << " read through a dangling hint mid-repair";
-    } else {
-      ++transient_reads;
-      EXPECT_TRUE(TransientKeyed(st)) << "key " << k << ": " << st.ToString();
-    }
+    ASSERT_TRUE(st.ok()) << "key " << k << ": " << st.ToString();
+    EXPECT_TRUE(workload::CheckValue(k, out.data(), kValue))
+        << "key " << k << " read through a dangling hint mid-repair";
   }
-  {
-    std::lock_guard<std::mutex> lock(gate.mu);
-    gate.open = true;  // let this and every later pause through
-    gate.release = true;
-    gate.cv.notify_all();
+  EXPECT_EQ(prober->stats().index_rpc_fallbacks, 0u);
+  // Writers still wait out the move: a write through the old pointer of a
+  // moving key bounces, and the key keeps its bytes.
+  for (const auto& [k, addr] : moving) {
+    GlobalAddr old = addr;
+    workload::FillValue(k + 1000, buf.data(), kValue);
+    EXPECT_EQ(prober->Write(&old, buf.data(), kValue).code(),
+              StatusCode::kObjectLocked)
+        << k;
+    ASSERT_TRUE(prober->Get(k, out.data(), kValue).ok());
+    EXPECT_TRUE(workload::CheckValue(k, out.data(), kValue)) << k;
   }
-  compactor.join();
+  const auto& report = compactor.Join();
   ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_GT(ok_reads + transient_reads, 0u);
   EXPECT_GT(injector.FiredCount(sim::fault_sites::kIndexRepairDelay), 0u);
 
   // After the run: every survivor resolves one-sided to its bytes, the
   // engine rewrote at least one moved entry, and the node audits clean.
   EXPECT_GT(node.stats().index_repairs, 0u);
   auto verify = Context::Create(&node);
-  for (const uint64_t k : survivors) {
+  for (const auto& [k, addr] : survivors) {
     ASSERT_TRUE(verify->Get(k, out.data(), kValue).ok()) << k;
     EXPECT_TRUE(workload::CheckValue(k, out.data(), kValue)) << k;
+  }
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// --- kCompacting excludes writers, not readers. ----------------------------
+// Frozen where IndexRepair ends and Remap begins: every moving key's entry
+// already names the destination copy, and source and copy both hold
+// kCompacting. Reads through either address see the key's bytes; a write
+// through either bounces until the remap publishes the copy.
+
+TEST(IndexTest, ReadsPassThroughCompactionLocksWritesWaitForRemap) {
+  PhaseGate gate;
+  CormConfig config = BaseConfig();
+  config.compaction_slice_objects = 4;
+  config.compaction_phase_hook = gate.FreezeAt(core::CompactionPhase::kRemap);
+  CormNode node(config);
+  auto ctx = Context::Create(&node);
+  const auto survivors = LoadFragmented(ctx.get());
+  std::vector<uint8_t> buf(kValue), out(kValue);
+
+  auto cls = node.ClassForPayload(kValue);
+  ASSERT_TRUE(cls.ok());
+  Compactor compactor(&node, *cls, &gate);
+  gate.WaitPaused();
+
+  const auto moving = MovingKeys(&node, survivors);
+  ASSERT_FALSE(moving.empty());
+  auto client = OffLeaderClient(&node, ShortDeadlines());
+  for (const auto& [k, addr] : survivors) {
+    ASSERT_TRUE(client->Get(k, out.data(), kValue).ok()) << k;
+    EXPECT_TRUE(workload::CheckValue(k, out.data(), kValue)) << k;
+  }
+  EXPECT_EQ(client->stats().index_rpc_fallbacks, 0u);
+
+  for (const auto& [k, addr] : moving) {
+    index::IndexEntry entry;
+    ASSERT_TRUE(node.index_view()->Lookup(k, &entry)) << k;
+    GlobalAddr copy = entry.addr;
+    ASSERT_NE(copy.vaddr, addr.vaddr) << "IndexRepair left key " << k;
+    EXPECT_EQ(LockAt(&node, copy), core::LockState::kCompacting) << k;
+    // One-sided and RPC reads through both the old pointer and the
+    // rewritten entry return the key's bytes.
+    for (GlobalAddr a : {addr, copy}) {
+      ASSERT_TRUE(client->DirectRead(a, out.data(), kValue).ok()) << k;
+      EXPECT_TRUE(workload::CheckValue(k, out.data(), kValue)) << k;
+      ASSERT_TRUE(client->Read(&a, out.data(), kValue).ok()) << k;
+      EXPECT_TRUE(workload::CheckValue(k, out.data(), kValue)) << k;
+    }
+    // Writes through either address bounce.
+    workload::FillValue(k + 1000, buf.data(), kValue);
+    for (GlobalAddr a : {addr, copy}) {
+      EXPECT_EQ(client->Write(&a, buf.data(), kValue).code(),
+                StatusCode::kObjectLocked)
+          << k;
+    }
+  }
+
+  const auto& report = compactor.Join();
+  ASSERT_TRUE(report.ok()) << report.status();
+  // Once the remap published the copies, the same Puts land and read back.
+  for (const auto& [k, addr] : moving) {
+    workload::FillValue(k + 1000, buf.data(), kValue);
+    ASSERT_TRUE(client->Put(k, buf.data(), kValue).ok()) << k;
+    ASSERT_TRUE(client->Get(k, out.data(), kValue).ok()) << k;
+    EXPECT_TRUE(workload::CheckValue(k + 1000, out.data(), kValue)) << k;
+  }
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// --- A pair whose remap fails rolls back completely. -----------------------
+// Fault site compaction.remap_fail fails the first pair's MergeRemap after
+// IndexRepair rewrote its entries. AbortPair restores the entries, then
+// tombstones each copy before it unlocks the source, so the copy's address
+// reads kObjectMoved while the key reads, writes and audits cleanly.
+
+TEST(IndexTest, FailedRemapRollsThePairBack) {
+  PhaseGate gate;
+  CormConfig config = BaseConfig();
+  config.compaction_slice_objects = 4;
+  config.compaction_phase_hook = gate.FreezeAt(core::CompactionPhase::kRemap);
+  CormNode node(config);
+  auto ctx = Context::Create(&node);
+  const auto survivors = LoadFragmented(ctx.get());
+  std::vector<uint8_t> buf(kValue), out(kValue);
+
+  sim::FaultInjector injector(5);
+  sim::FaultSchedule once;
+  once.one_shot_at = 1;
+  injector.Arm(sim::fault_sites::kCompactionRemapFail, once);
+  sim::ScopedFaultInjector install(&injector);
+
+  auto cls = node.ClassForPayload(kValue);
+  ASSERT_TRUE(cls.ok());
+  Compactor compactor(&node, *cls, &gate);
+  gate.WaitPaused();
+  const auto moving = MovingKeys(&node, survivors);
+  ASSERT_FALSE(moving.empty());
+  std::vector<GlobalAddr> copies;
+  for (const auto& [k, addr] : moving) {
+    index::IndexEntry entry;
+    ASSERT_TRUE(node.index_view()->Lookup(k, &entry)) << k;
+    ASSERT_NE(entry.addr.vaddr, addr.vaddr) << k;
+    copies.push_back(entry.addr);
+  }
+  EXPECT_FALSE(compactor.Join().ok());
+  EXPECT_EQ(injector.FiredCount(sim::fault_sites::kCompactionRemapFail), 1u);
+
+  auto client = OffLeaderClient(&node, ShortDeadlines());
+  for (size_t i = 0; i < moving.size(); ++i) {
+    const auto& [k, addr] = moving[i];
+    EXPECT_EQ(client->DirectRead(copies[i], out.data(), kValue).code(),
+              StatusCode::kObjectMoved)
+        << "copy of key " << k << " outlived its aborted pair";
+    index::IndexEntry entry;
+    ASSERT_TRUE(node.index_view()->Lookup(k, &entry)) << k;
+    EXPECT_EQ(entry.addr.vaddr, addr.vaddr) << "entry of " << k
+                                            << " not restored";
+    EXPECT_EQ(LockAt(&node, addr), core::LockState::kFree) << k;
+  }
+  for (const auto& [k, addr] : survivors) {
+    ASSERT_TRUE(client->Get(k, out.data(), kValue).ok()) << k;
+    EXPECT_TRUE(workload::CheckValue(k, out.data(), kValue)) << k;
+  }
+  for (const auto& [k, addr] : moving) {
+    workload::FillValue(k + 1000, buf.data(), kValue);
+    ASSERT_TRUE(client->Put(k, buf.data(), kValue).ok()) << k;
+    ASSERT_TRUE(client->Get(k, out.data(), kValue).ok()) << k;
+    EXPECT_TRUE(workload::CheckValue(k + 1000, out.data(), kValue)) << k;
+  }
+  EXPECT_TRUE(node.Audit().ok());
+
+  // The next run (the one-shot fault is spent) merges normally.
+  auto again = node.Compact(*cls);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_GT(again->blocks_freed, 0u);
+  for (const auto& [k, addr] : survivors) {
+    ASSERT_TRUE(client->Get(k, out.data(), kValue).ok()) << k;
+    const uint64_t value = std::find_if(moving.begin(), moving.end(),
+                                        [k = k](const auto& m) {
+                                          return m.first == k;
+                                        }) != moving.end()
+                               ? k + 1000
+                               : k;
+    EXPECT_TRUE(workload::CheckValue(value, out.data(), kValue)) << k;
   }
   EXPECT_TRUE(node.Audit().ok());
 }

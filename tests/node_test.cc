@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/client.h"
@@ -193,6 +195,53 @@ TEST_F(NodeTest, StatsCountOperations) {
   EXPECT_GE(node_.stats().rpc_writes, 1u);
   EXPECT_GE(node_.stats().rpc_reads, 1u);
   EXPECT_GE(node_.stats().rpc_frees, 1u);
+}
+
+// --- Parked workers wake for every request (DESIGN.md §7.3). --------------
+// Every RPC is issued only once its serving worker is parked on its futex,
+// and every control-plane fan-out (Fragmentation sends each worker a kStats
+// message) only once all workers are. A producer that failed to wake its
+// worker shows up as a park that timed out with the work already queued.
+
+bool WaitParked(CormNode* node, int ring) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!node->rpc_queue()->parker(ring)->parked()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(NodeWakeupTest, SequentialRequestsWakeTheParkedWorker) {
+  CormConfig config = SmallConfig();
+  // One worker: no sibling can steal a request that failed to wake it.
+  config.num_workers = 1;
+  ASSERT_TRUE(config.idle_park);
+  CormNode node(config);
+  auto ctx = Context::Create(&node);
+  auto addr = ctx->Alloc(64);
+  ASSERT_TRUE(addr.ok());
+  std::vector<uint8_t> buf(64), out(64);
+  for (int i = 0; i < 200; ++i) {
+    if (i % 50 == 0) {
+      // Let the worker climb to the ~1 ms top of its timeout ladder.
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+    ASSERT_TRUE(WaitParked(&node, ctx->home_ring())) << i;
+    PatternFill(static_cast<uint64_t>(i), buf.data(), 64);
+    ASSERT_TRUE(ctx->Write(&*addr, buf.data(), 64).ok()) << i;
+    ASSERT_TRUE(WaitParked(&node, ctx->home_ring())) << i;
+    ASSERT_TRUE(ctx->Read(&*addr, out.data(), 64).ok()) << i;
+    EXPECT_EQ(out, buf) << i;
+    if (i % 20 == 0) {
+      for (int w = 0; w < config.num_workers; ++w) {
+        ASSERT_TRUE(WaitParked(&node, w)) << i;
+      }
+      EXPECT_FALSE(node.Fragmentation().empty());
+    }
+  }
+  EXPECT_EQ(node.stats().park_missed_wakeups, 0u);
 }
 
 TEST_F(NodeTest, LocalContextReads) {

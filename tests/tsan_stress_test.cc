@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "common/random.h"
 #include "core/client.h"
 #include "core/corm_node.h"
+#include "core/object_layout.h"
 #include "rdma/rpc_transport.h"
 
 namespace corm::core {
@@ -190,6 +192,59 @@ TEST(TsanStressTest, StaleHintWritesRaceLeaderOwnershipRoundTrips) {
   for (auto& w : writers) w.join();
   stop.store(true, std::memory_order_relaxed);
   control.join();
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// Producers racing parking workers (DESIGN.md §7.3). Clients push RPCs
+// after random short gaps, so pushes land on their ring owner at every
+// point of its park: announcing it, re-checking for work, asleep, timing
+// out. A control thread fans messages into every worker's inbox the same
+// way. Each push and send must wake a parked owner; a lost wake-up shows up
+// as an op that waits out the ~1 ms timeout, and under TSan the handshake
+// must carry no unordered access.
+TEST(TsanStressTest, PushAndSendRaceWorkersParking) {
+  CormConfig config;
+  config.num_workers = 4;
+  config.block_pages = 1;
+  ASSERT_TRUE(config.idle_park);
+  CormNode node(config);
+  constexpr int kRaceClients = 4;
+  constexpr int kRaceOps = 300;
+
+  std::atomic<int> clients_done{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kRaceClients; ++c) {
+    clients.emplace_back([&node, &clients_done, c] {
+      auto ctx = Context::Create(&node);
+      Rng rng(0xa11 + static_cast<uint64_t>(c));
+      auto addr = ctx->Alloc(kPayload);
+      ASSERT_TRUE(addr.ok()) << addr.status();
+      std::vector<uint8_t> buf(kPayload), out(kPayload);
+      for (int op = 0; op < kRaceOps; ++op) {
+        const uint64_t gap = rng.Next() % 4;
+        if (gap == 1) std::this_thread::yield();
+        if (gap >= 2) {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(rng.Next() % 40));
+        }
+        PatternFill(static_cast<uint64_t>(op), buf.data(), kPayload);
+        ASSERT_TRUE(ctx->Write(&*addr, buf.data(), kPayload).ok()) << op;
+        ASSERT_TRUE(ctx->Read(&*addr, out.data(), kPayload).ok()) << op;
+        ASSERT_EQ(out, buf) << op;
+      }
+      clients_done.fetch_add(1, std::memory_order_release);
+    });
+  }
+  std::thread control([&node, &clients_done] {
+    Rng rng(0xc0de);
+    while (clients_done.load(std::memory_order_acquire) < kRaceClients) {
+      std::this_thread::sleep_for(std::chrono::microseconds(rng.Next() % 200));
+      EXPECT_FALSE(node.Fragmentation().empty());
+    }
+  });
+  for (auto& t : clients) t.join();
+  control.join();
+  EXPECT_EQ(node.stats().park_missed_wakeups, 0u);
   EXPECT_TRUE(node.Audit().ok());
 }
 
