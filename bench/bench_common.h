@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -47,16 +48,27 @@ inline std::string Gib(uint64_t bytes) {
   return Fmt("%.3f", static_cast<double>(bytes) / (1024.0 * 1024 * 1024));
 }
 
-// Simple --key=value flag lookup.
-inline uint64_t FlagU64(int argc, char** argv, const char* name,
-                        uint64_t def) {
+// Simple --key=value flag lookup: the value of the first --name=, or null.
+inline const char* FlagValue(int argc, char** argv, const char* name) {
   const std::string prefix = std::string("--") + name + "=";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
+      return argv[i] + prefix.size();
     }
   }
-  return def;
+  return nullptr;
+}
+
+inline uint64_t FlagU64(int argc, char** argv, const char* name,
+                        uint64_t def) {
+  const char* v = FlagValue(argc, argv, name);
+  return v != nullptr ? std::strtoull(v, nullptr, 10) : def;
+}
+
+inline std::string FlagStr(int argc, char** argv, const char* name,
+                           const std::string& def) {
+  const char* v = FlagValue(argc, argv, name);
+  return v != nullptr ? std::string(v) : def;
 }
 
 // ---------------------------------------------------------------------------

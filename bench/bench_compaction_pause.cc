@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -47,17 +46,6 @@ using core::CormNode;
 using core::GlobalAddr;
 
 namespace {
-
-std::string FlagStr(int argc, char** argv, const char* name,
-                    const std::string& def) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return def;
-}
 
 struct Workload {
   size_t read_objects = 1024;   // stable read set (class 64, never churned)

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -34,17 +33,6 @@ using namespace corm::dsm;
 using core::GlobalAddr;
 
 namespace {
-
-std::string FlagStr(int argc, char** argv, const char* name,
-                    const std::string& def) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return def;
-}
 
 struct ReplBenchResult {
   uint64_t unrep_p50_ns = 0;

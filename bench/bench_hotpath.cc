@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -36,17 +35,6 @@ using core::CormNode;
 using core::GlobalAddr;
 
 namespace {
-
-std::string FlagStr(int argc, char** argv, const char* name,
-                    const std::string& def) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return def;
-}
 
 struct Toggles {
   bool dir_cache = true;

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -45,17 +44,6 @@ using core::CormNode;
 using core::GlobalAddr;
 
 namespace {
-
-std::string FlagStr(int argc, char** argv, const char* name,
-                    const std::string& def) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return def;
-}
 
 constexpr uint32_t kPayload = 64;
 constexpr size_t kBatch = 8;

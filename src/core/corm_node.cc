@@ -293,6 +293,10 @@ NodeStatShard& CormNode::CurrentStatShard() {
   return stat_shard(tls_worker_id);
 }
 
+uint64_t CormNode::WorkerPasses(int idx) const {
+  return workers_[static_cast<size_t>(idx)]->passes();
+}
+
 NodeStats CormNode::stats() const {
   NodeStats out;
   stat_shards_.ForEach([&out](const NodeStatShard& s) {
@@ -316,6 +320,7 @@ NodeStats CormNode::stats() const {
     out.rpc_batches += s.rpc_batches.Load();
     out.rpc_polled += s.rpc_polled.Load();
     out.park_missed_wakeups += s.park_missed_wakeups.Load();
+    out.idle_parks += s.idle_parks.Load();
     out.compaction_slices += s.compaction_slices.Load();
     out.compaction_phase_transitions += s.compaction_phase_transitions.Load();
     out.compaction_planner_rejections +=

@@ -127,14 +127,16 @@ struct CormConfig {
   size_t poll_batch = 16;
   // Directory shards (rounded up to a power of two).
   size_t dir_shards = 16;
-  // Idle workers escalate from yields to parking on a futex after a dry
-  // spell, so on an oversubscribed host the scheduler rotation shrinks to
-  // the threads that actually have work. A request pushed onto a parked
-  // worker's ring, or a message sent to its inbox, wakes it at once; only
-  // replicated-log records wait for the park's ≤~1 ms timeout (DESIGN.md
-  // §7.3). Busy workers never park. Biggest single lever on few-core hosts,
-  // where an all-workers yield rotation otherwise taxes every RPC round
-  // trip.
+  // Idle workers park on a futex once a dry spell outlasts their spin
+  // budget (Worker::kIdleSpinNs, ~2.5x the park->wake round trip; 0 when
+  // the worker's affinity mask holds one CPU), so on an oversubscribed host
+  // the scheduler rotation shrinks to the threads that actually have work,
+  // while a request arriving within the budget costs no wake-up. A request
+  // pushed onto a parked worker's ring, or a message sent to its inbox,
+  // wakes it at once; only replicated-log records wait for the park's
+  // ≤~1 ms timeout (DESIGN.md §7.3). Busy workers never park. Biggest
+  // single lever on few-core hosts, where an all-workers yield rotation
+  // otherwise taxes every RPC round trip.
   bool idle_park = true;
 
   // --- Remote synchronization & doorbell batching (DESIGN.md §12). -------
@@ -203,6 +205,9 @@ struct NodeStatShard {
   // Idle parks that ended by timeout while the worker's own ring or inbox
   // already held work: a producer that did not wake it (DESIGN.md §7.3).
   StatCounter park_missed_wakeups;
+  // Idle parks entered: dry spells that outlasted the worker's spin budget
+  // (one per park of the timeout ladder; DESIGN.md §7.3).
+  StatCounter idle_parks;
   // Replicated-log instrumentation (DESIGN.md §11). Ship-side counters are
   // incremented from the client thread driving a ReplicatedContext (they
   // land on the primary node's overflow shard via client_stat_shard());
@@ -271,6 +276,7 @@ struct NodeStats {
   uint64_t rpc_batches = 0;
   uint64_t rpc_polled = 0;
   uint64_t park_missed_wakeups = 0;
+  uint64_t idle_parks = 0;
   uint64_t repl_ship_records = 0;
   uint64_t repl_acked_writes = 0;
   uint64_t repl_degraded_writes = 0;
@@ -430,6 +436,10 @@ class CormNode {
 
   // Aggregated counter snapshot (sums the per-worker shards).
   NodeStats stats() const;
+
+  // Run-loop iterations worker `idx` has started. A worker parked past its
+  // spin budget adds one per park timeout (DESIGN.md §7.3).
+  uint64_t WorkerPasses(int idx) const;
 
   // Size class whose payload capacity fits `payload_size`.
   Result<uint32_t> ClassForPayload(uint32_t payload_size) const;

@@ -136,6 +136,20 @@ class Worker {
   // is parked), no read through the old translation is in flight.
   uint64_t passes() const { return passes_.load(std::memory_order_acquire); }
 
+  // Wall-clock time an idle worker keeps polling after its last piece of
+  // work before it parks (DESIGN.md §7.3): ~2.5x the ~8 us park->wake round
+  // trip, so a request that arrives within it skips the futex wake-up.
+  static constexpr uint64_t kIdleSpinNs = 20'000;
+
+  // The spin budget of a worker whose affinity mask holds `cpus` CPUs. On
+  // one CPU it is 0: the producer needs the CPU the worker would spin on.
+  static constexpr uint64_t IdleSpinBudgetNs(int cpus) {
+    return cpus > 1 ? kIdleSpinNs : 0;
+  }
+  // CPUs in the calling thread's affinity mask (the host's CPU count if the
+  // mask cannot be read). Threads inherit the mask of their creator.
+  static int AffinityCpus();
+
   // Result of locating an object (public for internal free helpers).
   struct Resolved {
     alloc::Block* block = nullptr;
@@ -253,7 +267,8 @@ class Worker {
   static constexpr int kWriteResolves = 4;
   // Random ID draws before DrawObjectId falls back to scanning.
   static constexpr int kIdRandomDraws = 32;
-  // Dry polls an idle worker yields through before parking.
+  // Dry polls an idle worker yields through before parking, whatever its
+  // spin budget.
   static constexpr uint32_t kIdleYields = 4;
 
   // Direct-mapped directory cache slot: valid while the stamped epoch still

@@ -306,8 +306,19 @@ TEST(CompactionEngineTest, ReadersAndWritersInterleaveWithSlicedRuns) {
   });
 
   // Sliced runs interleave with the traffic above; later rounds may find
-  // nothing left to merge, which still exercises Select/Reclaim.
-  for (int round = 0; round < 4; ++round) {
+  // nothing left to merge, which still exercises Select/Reclaim. Past the
+  // fourth round, keep compacting until both threads have landed an op: on
+  // a loaded host they can start only after four short runs are over.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto both_landed = [&] {
+    return reads_ok.load(std::memory_order_relaxed) > 0 &&
+           writes_ok.load(std::memory_order_relaxed) > 0;
+  };
+  for (int round = 0;
+       round < 4 ||
+       (!both_landed() && std::chrono::steady_clock::now() < give_up);
+       ++round) {
     auto report = node.Compact(class_idx);
     ASSERT_TRUE(report.ok()) << report.status();
   }

@@ -3,14 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/sanitizer.h"
 #include "core/client.h"
 #include "core/corm_node.h"
 #include "core/object_layout.h"
+#include "core/worker.h"
 
 namespace corm::core {
 namespace {
@@ -242,6 +245,127 @@ TEST(NodeWakeupTest, SequentialRequestsWakeTheParkedWorker) {
     }
   }
   EXPECT_EQ(node.stats().park_missed_wakeups, 0u);
+}
+
+// --- Idle workers spin for a budget before they park (DESIGN.md §7.3). ----
+// Worker threads inherit the affinity mask of the thread that creates the
+// node, so this process's mask decides the budget they run with.
+
+void BusyWait(std::chrono::nanoseconds gap) {
+  const auto until = std::chrono::steady_clock::now() + gap;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+TEST(NodeWakeupTest, SpinBudgetIsZeroOnOneCpu) {
+  EXPECT_EQ(Worker::IdleSpinBudgetNs(1), 0u);
+  EXPECT_EQ(Worker::IdleSpinBudgetNs(4), Worker::kIdleSpinNs);
+  EXPECT_GT(Worker::kIdleSpinNs, 0u);
+}
+
+TEST(NodeWakeupTest, RequestsWithinTheSpinBudgetNeverPark) {
+  if (Worker::AffinityCpus() < 2) {
+    GTEST_SKIP() << "the spin budget is 0 on one CPU";
+  }
+#ifdef CORM_TSAN_ENABLED
+  GTEST_SKIP() << "TSan stretches every round trip past the spin budget";
+#endif
+  using std::chrono::steady_clock;
+  CormConfig config = SmallConfig();
+  config.num_workers = 1;
+  CormNode node(config);
+  auto ctx = Context::Create(&node);
+  auto addr = ctx->Alloc(64);
+  ASSERT_TRUE(addr.ok());
+  std::vector<uint8_t> buf(64);
+  const std::chrono::nanoseconds budget(Worker::kIdleSpinNs);
+  // Requests go out one per busy gap of a quarter budget, so a dry spell —
+  // the gap after a reply plus short stretches inside the Write calls —
+  // ends well inside the budget unless the client stalls: loses its CPU to
+  // the scheduler or the hypervisor, or sees a reply late, each of which
+  // shows as a long gap or Write. A stall may let the worker
+  // park, and the park shows at the parks read in that gap or the next
+  // one; with no stall since the read two gaps back, no park may show.
+  // (A wake-up only lengthens the Write it delays, by ~8 us, which stays
+  // under the Write bound, so a worker that parks early is still seen.)
+  // Returns how often a park showed, over 1000 requests.
+  const auto parks_without_stalls = [&] {
+    EXPECT_TRUE(ctx->Write(&*addr, buf.data(), 64).ok());
+    uint64_t parks = node.stats().idle_parks;
+    auto replied = steady_clock::now();
+    steady_clock::duration write_time{};
+    bool stalled_before = true;
+    int checked = 0;
+    int parked = 0;
+    for (int i = 0; i < 1000; ++i) {
+      BusyWait(budget / 4);
+      const uint64_t parks_now = node.stats().idle_parks;
+      const bool stalled = steady_clock::now() - replied >= budget / 2 ||
+                           write_time >= budget * 3 / 4;
+      if (!stalled && !stalled_before) {
+        ++checked;
+        if (parks_now != parks) ++parked;
+      }
+      parks = parks_now;
+      stalled_before = stalled;
+      PatternFill(static_cast<uint64_t>(i), buf.data(), 64);
+      const auto sent = steady_clock::now();
+      EXPECT_TRUE(ctx->Write(&*addr, buf.data(), 64).ok()) << i;
+      replied = steady_clock::now();
+      write_time = replied - sent;
+    }
+    EXPECT_GT(checked, 0);
+    return parked;
+  };
+  // The worker can stall too, which the client does not see; so the rule
+  // must hold in one of a few attempts. A worker that parks before its
+  // budget runs out parks after nearly every gap of every attempt.
+  int fewest = parks_without_stalls();
+  for (int attempt = 1; attempt < 3 && fewest > 0; ++attempt) {
+    fewest = std::min(fewest, parks_without_stalls());
+  }
+  EXPECT_EQ(fewest, 0);
+  EXPECT_EQ(node.stats().park_missed_wakeups, 0u);
+}
+
+TEST(NodeWakeupTest, AnIdleNodeParksAfterTheBudgetAndSpinsNoMore) {
+  if (Worker::AffinityCpus() < 2) {
+    GTEST_SKIP() << "the spin budget is 0 on one CPU";
+  }
+  using std::chrono::steady_clock;
+  CormConfig config = SmallConfig();
+  config.num_workers = 1;
+  CormNode node(config);
+  auto ctx = Context::Create(&node);
+  auto addr = ctx->Alloc(64);
+  ASSERT_TRUE(addr.ok());
+  std::vector<uint8_t> buf(64);
+  // The fastest of ten dry spells: scheduling noise only adds time (a
+  // worker that yields to a busy thread mid-spell gets its CPU back up to
+  // a timeslice later), and the slack still catches a budget a thousand
+  // times too long.
+  auto fastest = steady_clock::duration::max();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(ctx->Write(&*addr, buf.data(), 64).ok());
+    const auto idle_from = steady_clock::now();
+    ASSERT_TRUE(WaitParked(&node, ctx->home_ring())) << i;
+    fastest = std::min(fastest, steady_clock::now() - idle_from);
+  }
+  EXPECT_LT(fastest, std::chrono::nanoseconds(Worker::kIdleSpinNs) +
+                         std::chrono::milliseconds(10));
+  // Let the timeout ladder reach its ~1 ms top, then count passes: a
+  // parked worker makes one per timeout, a spinning one hundreds of
+  // thousands a second. The budget is not re-armed after a timeout.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const uint64_t passes0 = node.WorkerPasses(0);
+  const auto t0 = steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const uint64_t passes = node.WorkerPasses(0) - passes0;
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      steady_clock::now() - t0)
+                      .count();
+  EXPECT_LE(passes, static_cast<uint64_t>(ms) + 5) << ms << " ms";
+  EXPECT_GT(passes, 0u);  // the timeout still bounds the ingress rings
 }
 
 TEST_F(NodeTest, LocalContextReads) {

@@ -283,13 +283,17 @@ TEST(TsanStressTest, MessagePoolRecycleVsAbandonedUnref) {
 
   Rng rng(0xf00d);
   uint64_t abandoned = 0;
+  rdma::RpcMessage* last = nullptr;
   for (int i = 0; i < kRounds; ++i) {
     rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
     ASSERT_TRUE(msg->request.empty());   // recycled messages arrive reset
     ASSERT_TRUE(msg->response.empty());
     msg->request.assign(16, static_cast<uint8_t>(i));
     while (!ring.TryPush(msg)) std::this_thread::yield();
-    if (rng.Chance(0.3)) {
+    // The last round takes the normal path and keeps its reference until
+    // the server is gone (below).
+    const bool final_round = i + 1 == kRounds;
+    if (rng.Chance(0.3) && !final_round) {
       // Abandon immediately: the server's Unref races ours and whoever is
       // last recycles on their own thread.
       msg->Unref();
@@ -301,11 +305,18 @@ TEST(TsanStressTest, MessagePoolRecycleVsAbandonedUnref) {
         std::this_thread::yield();
       }
       ASSERT_EQ(msg->response.size(), 16u);
-      msg->Unref();
+      if (final_round) {
+        last = msg;
+      } else {
+        msg->Unref();
+      }
     }
   }
   stop.store(true, std::memory_order_release);
   server.join();
+  // The server dropped its reference to the last message before it
+  // exited, so ours is the last one: the normal path.
+  last->Unref();
 
   EXPECT_GT(abandoned, 0u);
   // Normal-path rounds recycled into this (client) thread's freelist.
