@@ -170,138 +170,101 @@ struct CormConfig {
   }
 };
 
+// The node's counters, in declaration order: the one list that generates
+// the per-worker shard (NodeStatShard), the snapshot (NodeStats) and the
+// fold in CormNode::stats(). Add a counter here and in the EXPERIMENTS.md
+// stats schema (corm-tidy --audit checks both directions).
+#define CORM_NODE_COUNTERS(X)                                                \
+  X(rpc_allocs)                                                              \
+  X(rpc_frees)                                                               \
+  X(rpc_reads)                                                               \
+  X(rpc_writes)                                                              \
+  X(rpc_releases)                                                            \
+  X(corrections_messaging)                                                   \
+  X(corrections_scan)                                                        \
+  X(forwarded_ops)                                                           \
+  X(compaction_runs)                                                         \
+  X(blocks_compacted)                                                        \
+  X(objects_moved)                                                           \
+  X(objects_offset_preserved)                                                \
+  /* Compaction-engine instrumentation (DESIGN.md §9): all incremented on */ \
+  /* the leader's shard from the engine's slices. */                         \
+  X(compaction_slices)             /* Step() calls that did work */          \
+  X(compaction_phase_transitions)  /* phase changes across runs */           \
+  X(compaction_planner_rejections) /* plan pairs the exact check killed */   \
+  X(compaction_bytes_copied)       /* payload bytes moved */                 \
+  X(compaction_timeouts)           /* runs aborted on a deadline */          \
+  X(compaction_bg_runs)            /* runs the scheduler posted */           \
+  X(ghosts_released)                                                         \
+  X(old_pointer_uses)                                                        \
+  /* Data-plane instrumentation (DESIGN.md §7). */                           \
+  X(id_draw_fallbacks) /* DrawObjectId exhausted its random draws */         \
+  X(dir_cache_hits)                                                          \
+  X(dir_cache_misses)                                                        \
+  X(rpc_batches) /* PollBatch calls that returned >= 1 message */            \
+  X(rpc_polled)  /* messages those batches carried */                        \
+  /* Idle parks that ended by timeout while the worker's own ring or */      \
+  /* inbox already held work: a producer that did not wake it (DESIGN.md */  \
+  /* §7.3). */                                                               \
+  X(park_missed_wakeups)                                                     \
+  /* Idle parks entered: dry spells that outlasted the worker's spin */      \
+  /* budget (one per park of the timeout ladder; DESIGN.md §7.3). */         \
+  X(idle_parks)                                                              \
+  /* Replicated-log instrumentation (DESIGN.md §11). Ship-side counters */   \
+  /* are incremented from the client thread driving a ReplicatedContext */   \
+  /* (they land on the primary node's overflow shard via */                  \
+  /* client_stat_shard()); apply-side counters are incremented by the */     \
+  /* worker draining the ring. */                                            \
+  X(repl_ship_records)         /* records RDMA-written into rings */         \
+  X(repl_acked_writes)         /* writes acked by a full quorum */           \
+  X(repl_degraded_writes)      /* writes that skipped a dead replica */      \
+  X(repl_quorum_timeouts)      /* writes whose quorum never formed */        \
+  X(repl_failovers)            /* primary failovers executed */              \
+  X(repl_seals)                /* epoch seals shipped by failover */         \
+  X(repl_stale_reads)          /* replica copies rejected on read */         \
+  X(repl_anti_entropy_repairs) /* objects the sweep re-replicated */         \
+  X(repl_applied_records)      /* records durably applied */                 \
+  X(repl_fenced_records)       /* stale-epoch records rejected */            \
+  X(repl_apply_dups)           /* duplicate/old-version records */           \
+  X(repl_apply_orphans)        /* object gone or image does not fit */       \
+  /* Remote-synchronization + doorbell-batching instrumentation */           \
+  /* (DESIGN.md §12). Incremented from the client threads driving */         \
+  /* contexts against this node, so they land on client shards (the */       \
+  /* overflow shard when a ReplicatedContext posts the chain). */            \
+  X(sync_lock_acquires)   /* locks (or read admissions) obtained */          \
+  X(sync_lock_conflicts)  /* attempts that saw a competing holder */         \
+  X(sync_lock_steals)     /* leases expired and slots stolen */              \
+  X(sync_lock_timeouts)   /* acquire retry budgets exhausted */              \
+  X(sync_epoch_fences)    /* stale-epoch lock words fenced */                \
+  X(doorbell_batches)     /* chained posts (one doorbell each) */            \
+  X(doorbell_batched_wrs) /* WRs those chains carried */                     \
+  /* Keyed-index instrumentation (DESIGN.md §13). Lookup-side counters */    \
+  /* are incremented from the client threads driving contexts against */     \
+  /* this node (client shards); repair/fallback counters are */              \
+  /* incremented by the worker or engine that served them. */                \
+  X(index_lookups)        /* keyed lookups started (Get/Put/Del) */          \
+  X(index_one_sided_hits) /* resolved without an RPC fallback */             \
+  X(index_rpc_fallbacks)  /* lookups that fell back to the RPC op */         \
+  X(index_repairs)        /* bucket entries rewritten after moves */         \
+  X(index_fenced_entries) /* live entries fenced by an epoch seal */         \
+  X(index_rehomes)        /* key ranges re-homed after a failover */
+
 // One worker's cacheline-padded block of node counters. Workers only ever
 // touch their own shard (plus an overflow shard for non-worker threads), so
 // data-plane increments never share a cacheline (see sharded_counters.h).
 struct NodeStatShard {
-  StatCounter rpc_allocs;
-  StatCounter rpc_frees;
-  StatCounter rpc_reads;
-  StatCounter rpc_writes;
-  StatCounter rpc_releases;
-  StatCounter corrections_messaging;
-  StatCounter corrections_scan;
-  StatCounter forwarded_ops;
-  StatCounter compaction_runs;
-  StatCounter blocks_compacted;
-  StatCounter objects_moved;
-  StatCounter objects_offset_preserved;
-  // Compaction-engine instrumentation (DESIGN.md §9): all incremented on
-  // the leader's shard from the engine's slices.
-  StatCounter compaction_slices;             // Step() calls that did work
-  StatCounter compaction_phase_transitions;  // phase changes across runs
-  StatCounter compaction_planner_rejections; // plan pairs the exact check killed
-  StatCounter compaction_bytes_copied;       // payload bytes moved
-  StatCounter compaction_timeouts;           // runs aborted on a deadline
-  StatCounter compaction_bg_runs;            // runs the scheduler triggered
-  StatCounter ghosts_released;
-  StatCounter old_pointer_uses;
-  // Data-plane instrumentation (new with the hot-path overhaul).
-  StatCounter id_draw_fallbacks;  // DrawObjectId exhausted its random draws
-  StatCounter dir_cache_hits;
-  StatCounter dir_cache_misses;
-  StatCounter rpc_batches;  // PollBatch calls that returned >= 1 message
-  StatCounter rpc_polled;   // messages those batches carried
-  // Idle parks that ended by timeout while the worker's own ring or inbox
-  // already held work: a producer that did not wake it (DESIGN.md §7.3).
-  StatCounter park_missed_wakeups;
-  // Idle parks entered: dry spells that outlasted the worker's spin budget
-  // (one per park of the timeout ladder; DESIGN.md §7.3).
-  StatCounter idle_parks;
-  // Replicated-log instrumentation (DESIGN.md §11). Ship-side counters are
-  // incremented from the client thread driving a ReplicatedContext (they
-  // land on the primary node's overflow shard via client_stat_shard());
-  // apply-side counters are incremented by the worker draining the ring.
-  StatCounter repl_ship_records;        // records RDMA-written into rings
-  StatCounter repl_acked_writes;        // writes acked by a full quorum
-  StatCounter repl_degraded_writes;     // writes that skipped a dead replica
-  StatCounter repl_quorum_timeouts;     // writes whose quorum never formed
-  StatCounter repl_failovers;           // primary failovers executed
-  StatCounter repl_seals;               // epoch seals shipped by failover
-  StatCounter repl_stale_reads;         // replica copies rejected on read
-  StatCounter repl_anti_entropy_repairs;  // objects the sweep re-replicated
-  StatCounter repl_applied_records;     // records durably applied
-  StatCounter repl_fenced_records;      // stale-epoch records rejected
-  StatCounter repl_apply_dups;          // duplicate/old-version records
-  StatCounter repl_apply_orphans;       // records whose object is gone
-  // Remote-synchronization + doorbell-batching instrumentation (DESIGN.md
-  // §12). Incremented from the client threads driving contexts against this
-  // node, so they land on the overflow shard via client_stat_shard().
-  StatCounter sync_lock_acquires;    // locks (or read admissions) obtained
-  StatCounter sync_lock_conflicts;   // attempts that saw a competing holder
-  StatCounter sync_lock_steals;      // leases expired and slots stolen
-  StatCounter sync_lock_timeouts;    // acquire retry budgets exhausted
-  StatCounter sync_epoch_fences;     // stale-epoch lock words fenced
-  StatCounter doorbell_batches;      // chained posts (one doorbell each)
-  StatCounter doorbell_batched_wrs;  // WRs those chains carried
-  // Keyed-index instrumentation (DESIGN.md §13). Lookup-side counters are
-  // incremented from the client threads driving contexts against this node
-  // (overflow shard via client_stat_shard()); repair/fallback counters are
-  // incremented by the worker or engine that served them.
-  StatCounter index_lookups;          // keyed lookups started (Get/Put/Del)
-  StatCounter index_one_sided_hits;   // resolved without an RPC fallback
-  StatCounter index_rpc_fallbacks;    // lookups that fell back to the RPC op
-  StatCounter index_repairs;          // bucket entries rewritten after moves
-  StatCounter index_fenced_entries;   // live entries fenced by an epoch seal
-  StatCounter index_rehomes;          // key ranges re-homed after a failover
+#define CORM_SHARD_FIELD(name) StatCounter name;
+  CORM_NODE_COUNTERS(CORM_SHARD_FIELD)
+#undef CORM_SHARD_FIELD
 };
 
 // Aggregated snapshot of the sharded counters (CormNode::stats()). A read
 // concurrent with increments is a momentary snapshot — same semantics the
 // old shared-atomic counters had, without the shared cachelines.
 struct NodeStats {
-  uint64_t rpc_allocs = 0;
-  uint64_t rpc_frees = 0;
-  uint64_t rpc_reads = 0;
-  uint64_t rpc_writes = 0;
-  uint64_t rpc_releases = 0;
-  uint64_t corrections_messaging = 0;
-  uint64_t corrections_scan = 0;
-  uint64_t forwarded_ops = 0;
-  uint64_t compaction_runs = 0;
-  uint64_t blocks_compacted = 0;
-  uint64_t objects_moved = 0;
-  uint64_t objects_offset_preserved = 0;
-  uint64_t compaction_slices = 0;
-  uint64_t compaction_phase_transitions = 0;
-  uint64_t compaction_planner_rejections = 0;
-  uint64_t compaction_bytes_copied = 0;
-  uint64_t compaction_timeouts = 0;
-  uint64_t compaction_bg_runs = 0;
-  uint64_t ghosts_released = 0;
-  uint64_t old_pointer_uses = 0;
-  uint64_t id_draw_fallbacks = 0;
-  uint64_t dir_cache_hits = 0;
-  uint64_t dir_cache_misses = 0;
-  uint64_t rpc_batches = 0;
-  uint64_t rpc_polled = 0;
-  uint64_t park_missed_wakeups = 0;
-  uint64_t idle_parks = 0;
-  uint64_t repl_ship_records = 0;
-  uint64_t repl_acked_writes = 0;
-  uint64_t repl_degraded_writes = 0;
-  uint64_t repl_quorum_timeouts = 0;
-  uint64_t repl_failovers = 0;
-  uint64_t repl_seals = 0;
-  uint64_t repl_stale_reads = 0;
-  uint64_t repl_anti_entropy_repairs = 0;
-  uint64_t repl_applied_records = 0;
-  uint64_t repl_fenced_records = 0;
-  uint64_t repl_apply_dups = 0;
-  uint64_t repl_apply_orphans = 0;
-  uint64_t sync_lock_acquires = 0;
-  uint64_t sync_lock_conflicts = 0;
-  uint64_t sync_lock_steals = 0;
-  uint64_t sync_lock_timeouts = 0;
-  uint64_t sync_epoch_fences = 0;
-  uint64_t doorbell_batches = 0;
-  uint64_t doorbell_batched_wrs = 0;
-  uint64_t index_lookups = 0;
-  uint64_t index_one_sided_hits = 0;
-  uint64_t index_rpc_fallbacks = 0;
-  uint64_t index_repairs = 0;
-  uint64_t index_fenced_entries = 0;
-  uint64_t index_rehomes = 0;
+#define CORM_SNAPSHOT_FIELD(name) uint64_t name = 0;
+  CORM_NODE_COUNTERS(CORM_SNAPSHOT_FIELD)
+#undef CORM_SNAPSHOT_FIELD
 };
 
 // Result of one compaction run.

@@ -1,19 +1,7 @@
-// Mini node stats for the --audit fixture tree.
+// Mini node counter list for the --audit fixture tree.
 #pragma once
 
-#include <cstdint>
-
-struct StatCounter {
-  void Add(uint64_t d);
-  uint64_t Load() const;
-};
-
-struct NodeStatShard {
-  StatCounter rpc_reads;
-  StatCounter rpc_writes;
-};
-
-struct NodeStats {
-  uint64_t rpc_reads = 0;
-  uint64_t rpc_writes = 0;
-};
+#define CORM_NODE_COUNTERS(X)                                                \
+  X(rpc_reads) /* read RPCs served */                                        \
+  /* A group comment between entries. */                                     \
+  X(rpc_writes)

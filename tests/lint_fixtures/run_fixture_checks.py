@@ -183,8 +183,6 @@ def cmd_audit_trees(tidy: str, fixture_dir: Path) -> int:
         "`qp.break` (kQpBreak) is exercised by no test",
         "`qp.break` is missing from the DESIGN.md fault-site table",
         "`node.crash`, which is not a fault_sites constant",
-        "`rpc_writes` has no NodeStats snapshot field",
-        "`rpc_writes` is not summed in CormNode::stats()",
         "`rpc_writes` is missing from the EXPERIMENTS.md stats schema",
         "`total_ops`, which is not a NodeStatShard counter",
     ]

@@ -200,6 +200,27 @@ TEST_F(NodeTest, StatsCountOperations) {
   EXPECT_GE(node_.stats().rpc_frees, 1u);
 }
 
+// stats() folds every counter of CORM_NODE_COUNTERS over every shard kind:
+// one bump on the overflow shard and one on a client shard read back as 2.
+// The worker never parks and serves no request, so it bumps nothing.
+TEST(NodeStatsTest, StatsFoldEveryCounterFromOverflowAndClientShards) {
+  CormConfig config = SmallConfig();
+  config.num_workers = 1;
+  config.idle_park = false;
+  CormNode node(config);
+  NodeStatShard& overflow = node.client_stat_shard();
+  NodeStatShard& client = node.NextClientStatShard();
+#define BUMP_BOTH(name) \
+  ++overflow.name;      \
+  ++client.name;
+  CORM_NODE_COUNTERS(BUMP_BOTH)
+#undef BUMP_BOTH
+  const NodeStats s = node.stats();
+#define EXPECT_TWO(name) EXPECT_EQ(s.name, 2u) << #name;
+  CORM_NODE_COUNTERS(EXPECT_TWO)
+#undef EXPECT_TWO
+}
+
 // --- Parked workers wake for every request (DESIGN.md §7.3). --------------
 // Every RPC is issued only once its serving worker is parked on its futex,
 // and every control-plane fan-out (Fragmentation sends each worker a kStats

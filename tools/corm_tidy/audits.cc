@@ -105,31 +105,35 @@ bool ParseMarkerBlock(const std::string& text, const std::string& marker,
   return true;
 }
 
-// Fields of `struct Name { ... }` whose declared type is `type_name`.
-std::vector<std::string> StructFieldsOfType(const SourceFile& f,
-                                            const std::string& struct_name,
-                                            const std::string& type_name) {
-  std::vector<std::string> fields;
-  const auto& toks = f.tokens();
-  size_t i = 0;
-  for (; i + 2 < toks.size(); ++i) {
-    if (IsIdent(toks[i], "struct") &&
-        IsIdent(toks[i + 1], struct_name.c_str()) &&
-        IsPunct(toks[i + 2], "{")) {
-      break;
+// Names in the `#define CORM_NODE_COUNTERS(X)` list of `header`, in list
+// order. Reads raw text because the lexer drops preprocessor lines. Each
+// entry is `X(name)`; `/* */` comments between entries are skipped, and the
+// list ends at the first line break without a continuation backslash.
+std::vector<std::string> ParseCounterList(const std::string& header) {
+  std::vector<std::string> names;
+  const std::string def = "#define CORM_NODE_COUNTERS(X)";
+  size_t i = header.find(def);
+  if (i == std::string::npos) return names;
+  for (i += def.size(); i < header.size();) {
+    if (header.compare(i, 2, "/*") == 0) {
+      const size_t close = header.find("*/", i + 2);
+      if (close == std::string::npos) break;
+      i = close + 2;
+    } else if (header[i] == '\n') {
+      size_t j = i;
+      if (j > 0 && header[j - 1] == '\r') --j;
+      if (j == 0 || header[j - 1] != '\\') break;
+      ++i;
+    } else if (header.compare(i, 2, "X(") == 0) {
+      const size_t close = header.find(')', i + 2);
+      if (close == std::string::npos) break;
+      names.push_back(header.substr(i + 2, close - i - 2));
+      i = close + 1;
+    } else {
+      ++i;
     }
   }
-  if (i + 2 >= toks.size()) return fields;
-  int depth = 0;
-  for (i += 2; i < toks.size(); ++i) {
-    if (IsPunct(toks[i], "{")) ++depth;
-    if (IsPunct(toks[i], "}") && --depth == 0) break;
-    if (depth == 1 && IsIdent(toks[i], type_name.c_str()) &&
-        i + 1 < toks.size() && toks[i + 1].kind == Token::Kind::kIdent) {
-      fields.push_back(toks[i + 1].text);
-    }
-  }
-  return fields;
+  return names;
 }
 
 }  // namespace
@@ -219,49 +223,25 @@ int RunAudits(const std::string& root, std::ostream& os) {
        << " site(s) exercised and documented\n";
   }
 
-  // --- Sharded-counter exhaustiveness. ------------------------------------
+  // --- Node-counter schema. ----------------------------------------------
   const int fault_failures = failures;
   const SourceFile* node_h = nullptr;
-  const SourceFile* node_cc = nullptr;
   for (const auto& f : src_files) {
     const auto& p = f->path();
-    auto ends_with = [&](const char* suffix) {
-      const size_t n = std::string(suffix).size();
-      return p.size() >= n && p.compare(p.size() - n, n, suffix) == 0;
-    };
-    if (ends_with("corm_node.h")) node_h = f.get();
-    if (ends_with("corm_node.cc")) node_cc = f.get();
-  }
-  if (node_h == nullptr || node_cc == nullptr) {
-    os << "FATAL: corm_node.h/corm_node.cc not found under src/\n";
-    return 2;
-  }
-  const auto counters =
-      StructFieldsOfType(*node_h, "NodeStatShard", "StatCounter");
-  if (counters.empty()) {
-    os << "FATAL: no StatCounter fields in NodeStatShard (" << node_h->path()
-       << ")\n";
-    return 2;
-  }
-  const auto snapshot_vec =
-      StructFieldsOfType(*node_h, "NodeStats", "uint64_t");
-  const std::set<std::string> snapshot(snapshot_vec.begin(),
-                                       snapshot_vec.end());
-
-  // Aggregated in stats(): `out.N += s.N` pairs in corm_node.cc.
-  std::set<std::string> aggregated;
-  {
-    const auto& toks = node_cc->tokens();
-    for (size_t i = 0; i + 6 < toks.size(); ++i) {
-      if (IsIdent(toks[i], "out") && IsPunct(toks[i + 1], ".") &&
-          toks[i + 2].kind == Token::Kind::kIdent &&
-          IsPunct(toks[i + 3], "+=") && IsIdent(toks[i + 4], "s") &&
-          IsPunct(toks[i + 5], ".") &&
-          toks[i + 6].kind == Token::Kind::kIdent &&
-          toks[i + 2].text == toks[i + 6].text) {
-        aggregated.insert(toks[i + 2].text);
-      }
+    if (p.size() >= 11 && p.compare(p.size() - 11, 11, "corm_node.h") == 0) {
+      node_h = f.get();
     }
+  }
+  std::string header;
+  if (node_h == nullptr || !ReadFile(node_h->path(), &header)) {
+    os << "FATAL: corm_node.h not found under src/\n";
+    return 2;
+  }
+  const auto counters = ParseCounterList(header);
+  if (counters.empty()) {
+    os << "FATAL: no CORM_NODE_COUNTERS(X) entries in " << node_h->path()
+       << "\n";
+    return 2;
   }
 
   std::string experiments;
@@ -276,14 +256,6 @@ int RunAudits(const std::string& root, std::ostream& os) {
   }
 
   for (const std::string& c : counters) {
-    if (snapshot.count(c) == 0) {
-      fail("NodeStatShard counter `" + c +
-           "` has no NodeStats snapshot field");
-    }
-    if (aggregated.count(c) == 0) {
-      fail("NodeStatShard counter `" + c +
-           "` is not summed in CormNode::stats() (corm_node.cc)");
-    }
     if (schema.count(c) == 0) {
       fail("NodeStatShard counter `" + c +
            "` is missing from the EXPERIMENTS.md stats schema");
@@ -297,8 +269,8 @@ int RunAudits(const std::string& root, std::ostream& os) {
     }
   }
   if (failures == fault_failures) {
-    os << "  OK   sharded counters: " << counters.size()
-       << " counter(s) snapshotted, aggregated, and documented\n";
+    os << "  OK   node counters: " << counters.size()
+       << " counter(s) documented\n";
   }
 
   return failures == 0 ? 0 : 1;

@@ -12,14 +12,12 @@
 //   directions are checked: a table row whose site no longer exists fails
 //   too.
 //
-//   Sharded counters.  Every StatCounter field of NodeStatShard
-//   (src/core/corm_node.h) must (a) appear as a field of the NodeStats
-//   snapshot, (b) be summed in CormNode::stats()'s aggregation
-//   (`out.N += s.N.Load()` in corm_node.cc) — the line that is forgotten
-//   when a counter is added — and (c) be listed in EXPERIMENTS.md's stats
-//   schema (the stats-schema-begin/end block), which is what bench scripts
-//   and plots consume. Again both directions: a schema row for a counter
-//   that was removed fails.
+//   Node counters.  Every entry of the CORM_NODE_COUNTERS(X) list
+//   (src/core/corm_node.h), which generates the node's stat shard, its
+//   snapshot and the fold in CormNode::stats(), must be listed in
+//   EXPERIMENTS.md's stats schema (the stats-schema-begin/end block), which
+//   is what bench scripts and plots consume. Again both directions: a
+//   schema row for a counter that was removed fails.
 //
 // Exit codes: 0 all contracts hold, 1 violations, 2 the tree is missing a
 // prerequisite (no marker block, no fault_injector.h, ...) — an audit that
