@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -69,6 +71,71 @@ inline std::string FlagStr(int argc, char** argv, const char* name,
                            const std::string& def) {
   const char* v = FlagValue(argc, argv, name);
   return v != nullptr ? std::string(v) : def;
+}
+
+// ---------------------------------------------------------------------------
+// Floor checks: --check=<floor.json> compares measured values against a
+// checked-in flat JSON floor file (the CI perf gates).
+// ---------------------------------------------------------------------------
+
+// Numeric field `key` of a flat JSON object; false when the key is absent.
+inline bool JsonNumber(const std::string& text, const std::string& key,
+                       double* out) {
+  const std::string needle = "\"" + key + "\"";
+  const size_t at = text.find(needle);
+  if (at == std::string::npos) return false;
+  const size_t colon = text.find(':', at + needle.size());
+  if (colon == std::string::npos) return false;
+  *out = std::strtod(text.c_str() + colon + 1, nullptr);
+  return true;
+}
+
+// One gated value: it passes when `measured` is at least `fraction` times
+// the floor file's value for `key`.
+struct FloorGate {
+  const char* key;
+  double measured;
+};
+
+// Checks every gate against the floor text and reports each on stdout or
+// stderr. Returns 0 when all pass, 1 when a value is below its line, and 2
+// when the text lacks a key (which wins over a low value).
+inline int CheckFloorText(const std::string& floor_text,
+                          const std::vector<FloorGate>& gates,
+                          double fraction) {
+  int rc = 0;
+  for (const FloorGate& g : gates) {
+    double floor = 0;
+    if (!JsonNumber(floor_text, g.key, &floor)) {
+      std::fprintf(stderr, "check: floor file lacks \"%s\"\n", g.key);
+      rc = 2;
+      continue;
+    }
+    const double min_ok = fraction * floor;
+    if (g.measured < min_ok) {
+      std::fprintf(stderr,
+                   "check: %s = %.2f is below %.0f%% of the floor %.2f\n",
+                   g.key, g.measured, fraction * 100, floor);
+      if (rc == 0) rc = 1;
+    } else {
+      std::printf("check: %s = %.2f >= %.2f (%.0f%% of floor %.2f)\n",
+                  g.key, g.measured, min_ok, fraction * 100, floor);
+    }
+  }
+  return rc;
+}
+
+// CheckFloorText over the file at `path`; 2 when it cannot be read.
+inline int CheckFloor(const std::string& path,
+                      const std::vector<FloorGate>& gates, double fraction) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "check: cannot read floor file %s\n", path.c_str());
+    return 2;
+  }
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return CheckFloorText(ss.str(), gates, fraction);
 }
 
 // ---------------------------------------------------------------------------

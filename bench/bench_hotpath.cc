@@ -1,23 +1,21 @@
-// Hot-path RPC throughput, with per-toggle attribution (DESIGN.md §7).
+// Hot-path RPC throughput, with idle-park attribution (DESIGN.md §7).
 //
 // Unlike the figure benches, this one measures *wall-clock* throughput of
 // the real serving loop (SimTimeScale 0, NIC message rate uncapped): the
 // quantity under test is the data plane's per-op CPU cost — directory
 // lookup, queue synchronization, message allocation, scheduler rotation —
-// not the modeled network. Each data-plane knob (CormConfig::dir_cache,
-// msg_pool, poll_batch, idle_park) can be toggled from the CLI, and the
-// default run flips each one off individually to attribute its share.
+// not the modeled network. The one data-plane knob, CormConfig::idle_park,
+// can be set from the CLI (--idle_park=0|1), and the default run also
+// measures the single-client read rate with it off to attribute its share.
 //
 // Output: a table on stdout plus BENCH_hotpath.json (schema in
 // EXPERIMENTS.md, "Hot path" section). --check=<floor.json> compares the
-// full-toggle results against a checked-in floor and exits non-zero on a
-// >30% regression — the CI perf-smoke gate.
+// results against a checked-in floor and exits non-zero on a >30%
+// regression — the CI perf-smoke gate.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,7 +23,6 @@
 #include "bench/bench_common.h"
 #include "core/client.h"
 #include "core/corm_node.h"
-#include "rdma/rpc_transport.h"
 
 using namespace corm;
 using namespace corm::bench;
@@ -35,13 +32,6 @@ using core::CormNode;
 using core::GlobalAddr;
 
 namespace {
-
-struct Toggles {
-  bool dir_cache = true;
-  bool msg_pool = true;
-  size_t poll_batch = 16;
-  bool idle_park = true;
-};
 
 struct Workload {
   int num_workers = 4;
@@ -89,15 +79,11 @@ double RunLoad(CormNode* node, const std::vector<GlobalAddr>& addrs,
   return static_cast<double>(ops.load()) / static_cast<double>(seconds);
 }
 
-Results Measure(const Workload& w, const Toggles& t, bool full_matrix) {
-  rdma::RpcMessagePool::SetEnabled(t.msg_pool);
+Results Measure(const Workload& w, bool idle_park, bool full_matrix) {
   CormConfig cfg;
   cfg.num_workers = w.num_workers;
   cfg.nic_msg_rate = 0;  // uncapped: measure CPU cost, not the modeled NIC
-  cfg.dir_cache = t.dir_cache;
-  cfg.msg_pool = t.msg_pool;
-  cfg.poll_batch = t.poll_batch;
-  cfg.idle_park = t.idle_park;
+  cfg.idle_park = idle_park;
   CormNode node(cfg);
   auto addrs = node.BulkAlloc(w.objects, w.payload);
   CORM_CHECK(addrs.ok());
@@ -108,25 +94,7 @@ Results Measure(const Workload& w, const Toggles& t, bool full_matrix) {
     r.mixed_nt = RunLoad(&node, *addrs, w.threads, true, w.seconds, w.payload);
   }
   r.counters = node.stats();
-  rdma::RpcMessagePool::SetEnabled(true);
   return r;
-}
-
-// Minimal numeric-field extraction — enough for our own flat floor file.
-double JsonNumber(const std::string& text, const std::string& key,
-                  bool* ok) {
-  const std::string needle = "\"" + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    *ok = false;
-    return 0;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    *ok = false;
-    return 0;
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
 }  // namespace
@@ -141,11 +109,7 @@ int main(int argc, char** argv) {
   w.payload = static_cast<uint32_t>(FlagU64(argc, argv, "payload", 64));
   w.seconds = FlagU64(argc, argv, "seconds", 2);
 
-  Toggles full;
-  full.dir_cache = FlagU64(argc, argv, "dir_cache", 1) != 0;
-  full.msg_pool = FlagU64(argc, argv, "msg_pool", 1) != 0;
-  full.poll_batch = FlagU64(argc, argv, "poll_batch", 16);
-  full.idle_park = FlagU64(argc, argv, "idle_park", 1) != 0;
+  const bool idle_park = FlagU64(argc, argv, "idle_park", 1) != 0;
   const bool attrib = FlagU64(argc, argv, "attrib", 1) != 0;
   const std::string json_path =
       FlagStr(argc, argv, "json", "BENCH_hotpath.json");
@@ -156,40 +120,23 @@ int main(int argc, char** argv) {
               w.num_workers, w.threads, w.objects, w.payload,
               static_cast<unsigned long long>(w.seconds));
 
-  const Results r = Measure(w, full, /*full_matrix=*/true);
+  const Results r = Measure(w, idle_park, /*full_matrix=*/true);
   PrintRow({"mode", "ops/s"}, 26);
   PrintRow({"read 1 client", Fmt("%.0f", r.read_1t)}, 26);
   PrintRow({"read N clients", Fmt("%.0f", r.read_nt)}, 26);
   PrintRow({"mixed 50/50 N clients", Fmt("%.0f", r.mixed_nt)}, 26);
 
-  // Attribution: flip each toggle off in isolation, re-measure the
-  // single-client read rate. What each knob buys depends on the host — on
-  // few-core machines idle_park dominates; with many cores the cache and
-  // pool show up instead.
-  struct Attrib {
-    const char* key;
-    double read_1t;
-  };
-  std::vector<Attrib> attribution;
+  // Attribution: the single-client read rate with idle_park off. What it
+  // buys depends on the host: on few-core machines it is the biggest lever.
+  double read_1t_no_idle_park = 0;
   if (attrib) {
-    PrintTitle("Attribution: single toggles off, read 1 client");
+    PrintTitle("Attribution: idle_park off, read 1 client");
     PrintRow({"toggle off", "ops/s", "vs full"}, 22);
-    const struct {
-      const char* key;
-      Toggles t;
-    } variants[] = {
-        {"dir_cache", [&] { Toggles t = full; t.dir_cache = false; return t; }()},
-        {"msg_pool", [&] { Toggles t = full; t.msg_pool = false; return t; }()},
-        {"poll_batch", [&] { Toggles t = full; t.poll_batch = 1; return t; }()},
-        {"idle_park", [&] { Toggles t = full; t.idle_park = false; return t; }()},
-    };
-    for (const auto& v : variants) {
-      const Results rv = Measure(w, v.t, /*full_matrix=*/false);
-      attribution.push_back({v.key, rv.read_1t});
-      PrintRow({v.key, Fmt("%.0f", rv.read_1t),
-                Fmt("%.2fx", r.read_1t / std::max(rv.read_1t, 1.0))},
-               22);
-    }
+    read_1t_no_idle_park =
+        Measure(w, /*idle_park=*/false, /*full_matrix=*/false).read_1t;
+    PrintRow({"idle_park", Fmt("%.0f", read_1t_no_idle_park),
+              Fmt("%.2fx", r.read_1t / std::max(read_1t_no_idle_park, 1.0))},
+             22);
   }
 
   // JSON artifact (schema: EXPERIMENTS.md, "Hot path").
@@ -200,10 +147,8 @@ int main(int argc, char** argv) {
         << ", \"threads\": " << w.threads << ", \"objects\": " << w.objects
         << ", \"payload\": " << w.payload << ", \"seconds\": " << w.seconds
         << "},\n";
-    out << "  \"toggles\": {\"dir_cache\": " << (full.dir_cache ? 1 : 0)
-        << ", \"msg_pool\": " << (full.msg_pool ? 1 : 0)
-        << ", \"poll_batch\": " << full.poll_batch
-        << ", \"idle_park\": " << (full.idle_park ? 1 : 0) << "},\n";
+    out << "  \"toggles\": {\"idle_park\": " << (idle_park ? 1 : 0)
+        << "},\n";
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"results\": {\"read_1t\": %.0f, \"read_nt\": %.0f, "
@@ -211,10 +156,9 @@ int main(int argc, char** argv) {
                   r.read_1t, r.read_nt, r.mixed_nt);
     out << buf;
     out << "  \"attribution\": {";
-    for (size_t i = 0; i < attribution.size(); ++i) {
-      std::snprintf(buf, sizeof(buf), "%s\"read_1t_no_%s\": %.0f",
-                    i ? ", " : "", attribution[i].key,
-                    attribution[i].read_1t);
+    if (attrib) {
+      std::snprintf(buf, sizeof(buf), "\"read_1t_no_idle_park\": %.0f",
+                    read_1t_no_idle_park);
       out << buf;
     }
     out << "},\n";
@@ -231,46 +175,15 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", json_path.c_str());
   }
 
-  // Floor check (CI perf smoke): the full-toggle numbers must stay within
-  // 30% of the checked-in floor.
+  // Floor check (CI perf smoke): the results must stay within 30% of the
+  // checked-in floor.
   if (!floor_path.empty()) {
-    std::ifstream in(floor_path);
-    if (!in) {
-      std::fprintf(stderr, "check: cannot read floor file %s\n",
-                   floor_path.c_str());
-      return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string floor_text = ss.str();
-    const struct {
-      const char* key;
-      double measured;
-    } checks[] = {{"read_1t", r.read_1t},
-                  {"read_nt", r.read_nt},
-                  {"mixed_nt", r.mixed_nt}};
-    int rc = 0;
-    for (const auto& c : checks) {
-      bool ok = true;
-      const double floor = JsonNumber(floor_text, c.key, &ok);
-      if (!ok) {
-        std::fprintf(stderr, "check: floor file lacks \"%s\"\n", c.key);
-        rc = 2;
-        continue;
-      }
-      const double min_ok = 0.7 * floor;
-      if (c.measured < min_ok) {
-        std::fprintf(stderr,
-                     "check: %s = %.0f ops/s is below 70%% of the floor "
-                     "%.0f (>30%% regression)\n",
-                     c.key, c.measured, floor);
-        rc = 1;
-      } else {
-        std::printf("check: %s = %.0f ops/s >= %.0f (70%% of floor %.0f)\n",
-                    c.key, c.measured, min_ok, floor);
-      }
-    }
-    if (rc != 0) return rc;
+    const int check = CheckFloor(floor_path,
+                                 {{"read_1t", r.read_1t},
+                                  {"read_nt", r.read_nt},
+                                  {"mixed_nt", r.mixed_nt}},
+                                 0.7);
+    if (check != 0) return check;
     std::printf("check: OK\n");
   }
   return 0;

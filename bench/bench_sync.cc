@@ -24,7 +24,6 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,22 +186,6 @@ SchemeResult RunScheme(sync::SchemeKind kind, const Contention& c,
   return r;
 }
 
-// Minimal numeric-field extraction — enough for our own flat floor file.
-double JsonNumber(const std::string& text, const std::string& key, bool* ok) {
-  const std::string needle = "\"" + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    *ok = false;
-    return 0;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    *ok = false;
-    return 0;
-  }
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -333,29 +316,10 @@ int main(int argc, char** argv) {
   // Floor check (CI sync-matrix): the measured speedup must also meet the
   // checked-in floor, which may be tightened beyond the hard 1.5x gate.
   if (!floor_path.empty()) {
-    std::ifstream in(floor_path);
-    if (!in) {
-      std::fprintf(stderr, "check: cannot read floor file %s\n",
-                   floor_path.c_str());
-      return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    bool ok = true;
-    const double floor = JsonNumber(ss.str(), "batch_speedup", &ok);
-    if (!ok) {
-      std::fprintf(stderr, "check: floor file lacks \"batch_speedup\"\n");
-      return 2;
-    }
-    if (b.speedup < floor) {
-      std::fprintf(stderr,
-                   "check: batch_speedup %.2fx below the floor %.2fx\n",
-                   b.speedup, floor);
-      rc = 1;
-    } else {
-      std::printf("check: batch_speedup %.2fx >= floor %.2fx\n", b.speedup,
-                  floor);
-    }
+    const int check =
+        CheckFloor(floor_path, {{"batch_speedup", b.speedup}}, 1.0);
+    if (check == 2) return 2;
+    if (check != 0) rc = 1;
   }
   if (rc == 0) std::printf("gate: OK\n");
   return rc;

@@ -29,11 +29,10 @@ CormNode::CormNode(CormConfig config)
       rpc_queue_(/*ring_capacity_pow2=*/1024,
                  /*num_rings=*/std::max(config.num_workers, 1)),
       stat_shards_(static_cast<size_t>(std::max(config.num_workers, 1)) + 1 +
-                   kClientStatShards),
-      directory_(config.dir_shards) {
+                   kClientStatShards) {
   CORM_CHECK_GT(config_.num_workers, 0);
   CORM_CHECK_LE(config_.object_id_bits, 16);
-  phys_ = std::make_unique<sim::PhysicalMemory>(config_.max_frames);
+  phys_ = std::make_unique<sim::PhysicalMemory>();
   space_ = std::make_unique<sim::AddressSpace>(phys_.get());
   files_ = std::make_unique<sim::MemFileManager>(phys_.get());
   rnic_ = std::make_unique<rdma::Rnic>(space_.get(), config_.MakeLatencyModel());
@@ -48,10 +47,7 @@ CormNode::CormNode(CormConfig config)
   // Sync-lock table (DESIGN.md §12): epoch word + one lock word per slot,
   // mapped fresh (all-zero: epoch 0, every slot free) and registered ODP
   // like a repl ring so remote CAS/FETCH_ADD verbs reach it.
-  sync_table_slots_ =
-      static_cast<uint32_t>(std::max<size_t>(config_.sync_lock_slots, 1));
-  const size_t table_bytes = (1 + static_cast<size_t>(sync_table_slots_)) *
-                             sizeof(uint64_t);
+  const size_t table_bytes = (1 + size_t{kSyncLockSlots}) * sizeof(uint64_t);
   sync_table_pages_ = (table_bytes + sim::kVPageSize - 1) / sim::kVPageSize;
   // Virtual ranges are reserved at block granularity (see BlockBaseOf in
   // core/addr.h): round the table up so the blocks reserved after it stay

@@ -110,23 +110,12 @@ struct CormConfig {
   // Back blocks with 2 MiB huge pages (modeled remap cost per 2 MiB unit;
   // paper §3.1.1, §4.3.1).
   bool huge_pages = false;
-  size_t max_frames = 0;  // simulated DRAM cap; 0 = unlimited
   uint64_t seed = 42;
   // Two-sided message rate of the server NIC (Send/Recv); every RPC costs
   // two messages, so ops saturate at half this rate (Fig. 12). 0 = no cap.
   uint64_t nic_msg_rate = 1'400'000;
 
-  // --- Data-plane performance knobs (DESIGN.md §7; bench_hotpath toggles
-  // each one to attribute its share of the hot-path speedup). -------------
-  // Per-worker directory lookup cache, invalidated by the directory epoch.
-  bool dir_cache = true;
-  // RpcMessage freelist + per-worker read scratch buffer (no per-op heap
-  // allocation on the steady-state path).
-  bool msg_pool = true;
-  // Max RPCs a worker drains from its ring per queue synchronization.
-  size_t poll_batch = 16;
-  // Directory shards (rounded up to a power of two).
-  size_t dir_shards = 16;
+  // --- Data-plane knob (DESIGN.md §7.3). ---------------------------------
   // Idle workers park on a futex once a dry spell outlasts their spin
   // budget (Worker::kIdleSpinNs, ~2.5x the park->wake round trip; 0 when
   // the worker's affinity mask holds one CPU), so on an oversubscribed host
@@ -144,9 +133,6 @@ struct CormConfig {
   // optimistic versioned reads, an RDMA-CAS spinlock, or the lease/epoch
   // reader-writer lock. Snapshot validation stays on in every scheme.
   sync::SchemeKind sync_scheme = sync::SchemeKind::kOptimistic;
-  // Lock words in this node's registered sync-lock table (objects hash to
-  // slots; collisions are safe, just extra contention).
-  size_t sync_lock_slots = 1024;
   // How long a waiter watches an unchanged held lock word before stealing
   // it (crashed-holder recovery, fault site sync.holder_crash).
   uint64_t sync_lease_ns = 2'000'000;
@@ -484,14 +470,17 @@ class CormNode {
   }
 
   // --- Sync-lock table (DESIGN.md §12). ----------------------------------
+  // Lock words in the table (objects hash to slots; collisions are safe,
+  // just extra contention).
+  static constexpr uint32_t kSyncLockSlots = 1024;
   // Remote-access coordinates of this node's sync-lock table: word 0 is
-  // the sync epoch, words 1..sync_lock_slots are lock words hashed by
+  // the sync epoch, words 1..kSyncLockSlots are lock words hashed by
   // object address. Registered (ODP) at construction, like a repl ring.
   sync::LockTableCoords sync_table() const {
     sync::LockTableCoords coords;
     coords.base = sync_table_base_;
     coords.r_key = sync_table_keys_.r_key;
-    coords.slots = sync_table_slots_;
+    coords.slots = kSyncLockSlots;
     return coords;
   }
   // Current sync epoch (word 0 of the table).
@@ -632,7 +621,6 @@ class CormNode {
   sim::VAddr sync_table_base_ = 0;
   size_t sync_table_pages_ = 0;
   rdma::MrKeys sync_table_keys_;
-  uint32_t sync_table_slots_ = 0;
 
   // Keyed index table backing state (same lifecycle as the sync table).
   sim::VAddr index_table_base_ = 0;

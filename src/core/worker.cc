@@ -26,9 +26,7 @@ Worker::Worker(CormNode* node, int id)
       inbox_(1024),
       rng_(node->config().seed * 7919 + static_cast<uint64_t>(id) + 1),
       stats_(node->stat_shard(id)),
-      dir_cache_enabled_(node->config().dir_cache),
       parker_(node->rpc_queue()->parker(id)),
-      scratch_enabled_(node->config().msg_pool),
       dir_cache_(kDirCacheSlots) {  // NOLINT(corm-hotpath-alloc) ctor only
   static_assert((kDirCacheSlots & (kDirCacheSlots - 1)) == 0,
                 "direct-mapped cache wants a power-of-two slot count");
@@ -68,11 +66,9 @@ int Worker::AffinityCpus() {
 
 void Worker::Run() {
   node_->BindWorkerThread(id_);
-  const size_t batch_max = std::min<size_t>(
-      std::max<size_t>(node_->config().poll_batch, 1), kMaxPollBatch);
   const bool idle_park = node_->config().idle_park;
   const uint64_t spin_ns = IdleSpinBudgetNs(AffinityCpus());
-  rdma::RpcMessage* batch[kMaxPollBatch];
+  rdma::RpcMessage* batch[kPollBatch];
   // Consecutive dry polls and parks; reset by any work. The worker parks
   // once the dry spell has outlasted both kIdleYields polls and its spin
   // budget, armed at the spell's first dry poll; each park of the spell
@@ -96,7 +92,7 @@ void Worker::Run() {
     if (node_->IsServingRequests()) {
       // Only our own ring: a request pushed onto a parked worker's ring
       // wakes that worker, so no sibling needs to steal it.
-      const size_t n = node_->rpc_queue()->PollBatch(id_, batch, batch_max);
+      const size_t n = node_->rpc_queue()->PollBatch(id_, batch, kPollBatch);
       if (n > 0) {
         ++stats_.rpc_batches;
         stats_.rpc_polled += n;
@@ -451,7 +447,6 @@ Result<uint32_t> Worker::CorrectViaOwner(alloc::Block* block,
 // in flight linearizes as a lookup just before that mutation, exactly the
 // schedule a raw lock-free Lookup already admits (see block_directory.h).
 CormNode::DirectoryEntry Worker::LookupBlockCached(sim::VAddr base) {
-  if (!dir_cache_enabled_) return node_->LookupBlock(base);
   const uint64_t epoch = node_->directory_.epoch();
   DirCacheSlot& slot =
       dir_cache_[BlockDirectory::Mix(base) & (kDirCacheSlots - 1)];
@@ -552,11 +547,8 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
   resp.size = req.size;
   // Stage the payload in the worker's reusable scratch buffer: resize()
   // only allocates until the high-water mark, so the steady-state read
-  // path touches no allocator. The pooling-off bench baseline allocates
-  // per op, as the old code did.
-  Buffer local;
-  Buffer& payload = scratch_enabled_ ? read_scratch_ : local;
-  payload.resize(req.size);  // NOLINT(corm-hotpath-alloc) high-water only
+  // path touches no allocator. NOLINT(corm-hotpath-alloc)
+  read_scratch_.resize(req.size);
   for (int attempt = 0; attempt < 16; ++attempt) {
     const uint64_t w1 = LoadHeaderWord(ptr);
     const ObjectHeader h = ObjectHeader::Unpack(w1);
@@ -570,12 +562,14 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
       Complete(rpc, Status::ObjectMoved("object moved during read"));
       return;
     }
-    ReadPayload(ptr, block->slot_size(), payload.data(), req.size, mode);
+    ReadPayload(ptr, block->slot_size(), read_scratch_.data(), req.size,
+                mode);
     if (LoadHeaderWord(ptr) == w1) {
       // Validation succeeded: the snapshot happened-after the writer's
       // release in WritePayload/StoreHeaderWord (see sanitizer.h).
       CORM_TSAN_ACQUIRE(ptr);
-      EncodeResponse(resp, &rpc->response, Slice(payload.data(), req.size));
+      EncodeResponse(resp, &rpc->response,
+                     Slice(read_scratch_.data(), req.size));
       Complete(rpc, Status::OK());
       return;
     }

@@ -257,8 +257,8 @@ class Worker {
   friend class CompactionEngine;
 
   // Largest batch a worker drains from its RPC ring per queue
-  // synchronization (CormConfig::poll_batch is clamped to this).
-  static constexpr size_t kMaxPollBatch = 64;
+  // synchronization.
+  static constexpr size_t kPollBatch = 16;
   // Records applied per ingress ring per drain pass: bounds how long the
   // apply path keeps the worker away from its RPC ring.
   static constexpr int kReplApplyBatch = 16;
@@ -289,11 +289,9 @@ class Worker {
   // This worker's cacheline-padded stat shard; counters on the data plane
   // are plain increments with no shared-line contention.
   NodeStatShard& stats_;
-  const bool dir_cache_enabled_;
   // The parking spot of this worker's RPC ring (owned by the RpcQueue, so
   // a Push needs no pointer back into the worker).
   Parker* const parker_;
-  const bool scratch_enabled_;
   // Reusable read-payload staging buffer (capacity persists across ops, so
   // the steady-state read path performs no heap allocation).
   Buffer read_scratch_;

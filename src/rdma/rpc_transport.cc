@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <utility>
 
 #include "common/cpu_relax.h"
 #include "common/thread_annotations.h"
@@ -26,8 +25,6 @@ uint64_t NowNs() {
 
 namespace {
 
-std::atomic<bool> g_pool_enabled{true};
-
 // Thread-local freelist; its destructor (thread exit) frees what the thread
 // shelved. Plain vector: only the owning thread touches it.
 struct MessageFreeList {
@@ -45,22 +42,14 @@ MessageFreeList& LocalFreeList() {
 
 }  // namespace
 
-void RpcMessagePool::SetEnabled(bool on) {
-  g_pool_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool RpcMessagePool::Enabled() {
-  return g_pool_enabled.load(std::memory_order_relaxed);
-}
-
 RpcMessage* RpcMessagePool::Acquire() {
   MessageFreeList& list = LocalFreeList();
   RpcMessage* msg;
-  if (Enabled() && !list.items.empty()) {
+  if (!list.items.empty()) {
     msg = list.items.back();
     list.items.pop_back();
   } else {
-    // Cold path: pool empty (warm-up) or pooling disabled.
+    // Cold path: pool empty (warm-up).
     msg = new RpcMessage();  // NOLINT(corm-raw-new)
   }
   // Two references: the calling client's and the serving node's.
@@ -74,7 +63,7 @@ size_t RpcMessagePool::LocalFreeForTesting() {
 
 void RpcMessagePool::Recycle(RpcMessage* msg) {
   MessageFreeList& list = LocalFreeList();
-  if (!Enabled() || list.items.size() >= kMaxPerThread) {
+  if (list.items.size() >= kMaxPerThread) {
     delete msg;  // NOLINT(corm-raw-new) refcount 0: sole owner
     return;
   }
@@ -91,8 +80,6 @@ void RpcMessagePool::Recycle(RpcMessage* msg) {
   // amortizes to zero in steady state. NOLINT(corm-hotpath-alloc)
   list.items.push_back(msg);
 }
-
-RpcMessage* RpcMessage::New() { return RpcMessagePool::Acquire(); }
 
 // Escape: refcounted teardown — exclusive ownership of *this is proven by
 // the acq_rel fetch_sub observing 1 (every other holder already released),
@@ -300,22 +287,6 @@ Status RpcClient::CallPooled(RpcMessage** inout_msg, int ring_hint,
   // The caller still owns its reference: decode msg->response in place,
   // then Unref.
   return msg->status;
-}
-
-RpcCallResult RpcClient::Call(Buffer request, int ring_hint) {
-  RpcMessage* msg = RpcMessagePool::Acquire();
-  msg->request = std::move(request);
-  RpcWireStats wire;
-  RpcCallResult out;
-  out.status = CallPooled(&msg, ring_hint, &wire);
-  out.network_ns = wire.network_ns;
-  out.server_extra_ns = wire.server_extra_ns;
-  out.dup_completion = wire.dup_completion;
-  if (msg != nullptr) {
-    out.response = std::move(msg->response);
-    msg->Unref();
-  }
-  return out;
 }
 
 }  // namespace corm::rdma

@@ -42,13 +42,13 @@ namespace corm::rdma {
 // One in-flight RPC. The server fills response/status and sets done last
 // (release), which the spinning client observes (acquire).
 //
-// Lifetime: a message created with New() carries two references — the
-// client's and the server's — because a timed-out client abandons the
-// message while the server may still be about to complete it. Whoever
-// drops the last reference returns it to the pool (or frees it when
-// pooling is off). Stack-allocated messages (tests, tools that complete
-// synchronously) start at refcount 0, where Unref is a no-op and the
-// owner's scope controls the lifetime as before.
+// Lifetime: a message from RpcMessagePool::Acquire() carries two
+// references — the client's and the server's — because a timed-out client
+// abandons the message while the server may still be about to complete it.
+// Whoever drops the last reference returns it to the pool (or frees it
+// when that thread's freelist is full). Stack-allocated messages (tests,
+// tools that complete synchronously) start at refcount 0, where Unref is a
+// no-op and the owner's scope controls the lifetime as before.
 struct RpcMessage {
   Buffer request;
   Buffer response;
@@ -59,9 +59,6 @@ struct RpcMessage {
   uint64_t server_extra_ns = 0;
   std::atomic<bool> done{false};
 
-  // Heap/pool factory for transport use: returns a message holding one
-  // client and one server reference (alias of RpcMessagePool::Acquire).
-  static RpcMessage* New();
   // Drops one reference; recycles the message when the last one goes.
   void Unref();
 
@@ -78,13 +75,9 @@ struct RpcMessage {
 // abandoned-timeout path the server's Complete drops the last reference and
 // the message recycles into the worker's freelist (bounded; workers never
 // acquire, so those entries persist until further abandons overflow the cap
-// and delete). Toggling SetEnabled(false) makes Acquire allocate and
-// Recycle free — the bench's pooling-off baseline.
+// and delete).
 class RpcMessagePool {
  public:
-  static void SetEnabled(bool on);
-  static bool Enabled();
-
   // A message with refs == 2 (client + server), fields reset, buffers
   // retaining any recycled capacity.
   static RpcMessage* Acquire();
@@ -96,7 +89,7 @@ class RpcMessagePool {
   friend struct RpcMessage;
   static constexpr size_t kMaxPerThread = 64;
   // Called by the final Unref. Resets and shelves `msg`, or deletes it
-  // when the pool is disabled/full.
+  // when the calling thread's freelist is full.
   static void Recycle(RpcMessage* msg);
 };
 
@@ -189,18 +182,6 @@ struct RpcWireStats {
   bool dup_completion = false;   // an injected duplicate completion arrived
 };
 
-// Everything a completed (or failed) legacy-path call reports back.
-struct RpcCallResult {
-  // Server-set status; kTimeout when the transport gave up first (request
-  // undeliverable, completion never observed, or response lost) — in that
-  // case the server may or may not have applied the operation.
-  Status status;
-  Buffer response;
-  uint64_t network_ns = 0;
-  uint64_t server_extra_ns = 0;
-  bool dup_completion = false;
-};
-
 // Client-side RPC endpoint: pushes requests into a remote RpcQueue and
 // spins for the completion — bounded by `policy.deadline_ns` — pacing the
 // modeled network time of both legs. Consults the global fault injector at
@@ -218,10 +199,6 @@ class RpcClient {
   // transport has already released the caller's reference(s) and nulls
   // `*msg`; the caller must not touch it.
   Status CallPooled(RpcMessage** msg, int ring_hint, RpcWireStats* wire);
-
-  // Legacy synchronous call (copies the response out); never blocks past
-  // the policy deadline.
-  RpcCallResult Call(Buffer request, int ring_hint = -1);
 
   const sim::LatencyModel& model() const { return model_; }
   const RetryPolicy& retry_policy() const { return policy_; }

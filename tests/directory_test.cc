@@ -156,7 +156,6 @@ TEST(DirectoryTest, WorkerCacheInvalidatedByCompaction) {
   config.num_workers = 2;
   config.fragmentation_threshold = 1.01;
   config.collection_max_occupancy = 1.0;
-  ASSERT_TRUE(config.dir_cache);  // the path under test
   CormNode node(config);
 
   constexpr uint32_t kPayload = 48;

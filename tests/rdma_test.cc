@@ -515,11 +515,16 @@ TEST(RpcTransportTest, RequestResponseRoundTrip) {
     msg->Unref();  // the server's reference
   });
 
-  RpcCallResult result = client.Call(Buffer{1, 2, 3});
+  RpcMessage* msg = RpcMessagePool::Acquire();
+  msg->request = Buffer{1, 2, 3};
+  RpcWireStats wire;
+  const Status st = client.CallPooled(&msg, /*ring_hint=*/-1, &wire);
   server.join();
-  EXPECT_TRUE(result.status.ok());
-  EXPECT_EQ(result.response, (Buffer{3, 2, 1}));
-  EXPECT_GT(result.network_ns, 0u);
+  EXPECT_TRUE(st.ok());
+  ASSERT_NE(msg, nullptr);  // still the caller's: decode in place, Unref
+  EXPECT_EQ(msg->response, (Buffer{3, 2, 1}));
+  EXPECT_GT(wire.network_ns, 0u);
+  msg->Unref();
 }
 
 TEST(RpcTransportTest, CallTimesOutWhenNobodyServes) {
@@ -528,16 +533,20 @@ TEST(RpcTransportTest, CallTimesOutWhenNobodyServes) {
   policy.deadline_ns = 20'000'000;  // 20 ms
   RpcClient client(&queue, LatencyModel{}, policy);
 
-  RpcCallResult result = client.Call(Buffer{42});
-  EXPECT_EQ(result.status.code(), StatusCode::kTimeout);
+  RpcMessage* msg = RpcMessagePool::Acquire();
+  msg->request = Buffer{42};
+  RpcWireStats wire;
+  const Status st = client.CallPooled(&msg, /*ring_hint=*/-1, &wire);
+  EXPECT_EQ(st.code(), StatusCode::kTimeout);
+  EXPECT_EQ(msg, nullptr);  // the transport released the caller's reference
 
   // The abandoned message still sits in the queue; a late server completes
   // it without touching freed memory (the refcount keeps it alive).
-  RpcMessage* msg = queue.Poll();
-  ASSERT_NE(msg, nullptr);
-  msg->status = Status::OK();
-  msg->done.store(true, std::memory_order_release);
-  msg->Unref();
+  RpcMessage* late = queue.Poll();
+  ASSERT_NE(late, nullptr);
+  late->status = Status::OK();
+  late->done.store(true, std::memory_order_release);
+  late->Unref();
 }
 
 TEST(RpcTransportTest, RateLimiterDisabledAtZeroScale) {

@@ -258,7 +258,6 @@ TEST(TsanStressTest, PushAndSendRaceWorkersParking) {
 // accesses — and must see no unsynchronized reuse, because an abandoned
 // message can only re-enter circulation from the thread that shelved it.
 TEST(TsanStressTest, MessagePoolRecycleVsAbandonedUnref) {
-  rdma::RpcMessagePool::SetEnabled(true);
   constexpr int kRounds = 20'000;
 
   MpmcQueue<rdma::RpcMessage*> ring(1024);
