@@ -503,22 +503,26 @@ Status Context::ReadWithRecovery(GlobalAddr* addr, void* buf, size_t size,
 // Keyed access layer (DESIGN.md §13).
 // ---------------------------------------------------------------------------
 
-Status Context::WriteWithRecovery(GlobalAddr* addr, const void* buf,
-                                  size_t size) {
-  // The serving worker gives up on a write-locked object after a bounded
-  // spin, so a concurrent writer descheduled while holding the lock turns
-  // into kObjectLocked here; the write was not applied and is retried.
+template <typename Op>
+Status Context::RetryWhileLocked(Op&& op) {
   RetryState retry = RecoveryRetry();
   while (retry.NextAttempt()) {
-    Status st = Write(addr, buf, size);
+    Status st = op();
     if (!st.IsObjectLocked()) return st;
     stats_.retries++;
     sim::Pace(retry.BackoffNs());
     std::this_thread::yield();
   }
   stats_.timeouts++;
-  return Status::Timeout("write recovery deadline expired (object stayed "
-                         "locked)");
+  return Status::Timeout("recovery deadline expired (object stayed locked)");
+}
+
+Status Context::WriteWithRecovery(GlobalAddr* addr, const void* buf,
+                                  size_t size) {
+  // The serving worker gives up on a write-locked object after a bounded
+  // spin, so a concurrent writer descheduled while holding the lock turns
+  // into kObjectLocked here; the write was not applied and is retried.
+  return RetryWhileLocked([&] { return Write(addr, buf, size); });
 }
 
 Status Context::ProbeBuckets(uint64_t key, GlobalAddr* addr) {
@@ -693,71 +697,50 @@ Result<GlobalAddr> Context::Put(uint64_t key, const void* buf, size_t size) {
     }
   }
 
-  // Authoritative lookup; write in place when the key exists.
-  GlobalAddr addr;
-  Status lookup = IndexLookupRpc(key, &addr);
-  if (lookup.ok()) {
-    CORM_RETURN_NOT_OK(WriteWithRecovery(&addr, buf, size));
-    hint_cache_[key] = addr;
-    return addr;
-  }
-  if (!lookup.IsNotFound()) return lookup;
-
-  // Fresh key: allocate and fill the object *before* publishing it, so a
-  // concurrent Get observes either NotFound or the complete value — never
-  // a half-written object behind a live entry.
-  auto fresh = Alloc(size);
-  CORM_RETURN_NOT_OK(fresh.status());
-  GlobalAddr obj = *fresh;
-  Status wst = Write(&obj, buf, size);
-  if (!wst.ok()) {
-    Free(&obj).ok();  // best effort: the value never became visible
-    return wst;
-  }
+  // One kIndexPut RPC: the worker looks the key up and, when it is fresh,
+  // allocates, fills and publishes the object itself. A live key (or the
+  // winner of a concurrent publish) comes back unwritten, and the value is
+  // written through it under the sync scheme like any overwrite.
+  stats_.index_rpc_fallbacks++;
   rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
-  EncodeRequest(RpcOp::kIndexInsert, IndexInsertRequest{key, obj},
-                &msg->request);
-  Status ist = RpcCallPooled(&msg, ring_);
-  if (!ist.ok()) {
-    // The insert may or may not have landed (e.g. timeout after apply);
-    // leave the object allocated — an orphan is recoverable, a dangling
-    // entry to freed memory is not.
-    return ist;
-  }
-  IndexInsertResponse resp;
+  EncodeRequest(RpcOp::kIndexPut,
+                IndexPutRequest{key, static_cast<uint32_t>(size)},
+                &msg->request, Slice(static_cast<const char*>(buf), size));
+  // Any worker can allocate: stay on the home ring.
+  CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
+  IndexPutResponse resp;
   DecodeResponse(msg->response, &resp);
   msg->Unref();
+  GlobalAddr addr = resp.addr;
   if (resp.existed != 0) {
-    // Lost the publish race: write through the winner's object and retire
-    // ours.
-    Free(&obj).ok();
-    GlobalAddr winner = resp.addr;
-    CORM_RETURN_NOT_OK(WriteWithRecovery(&winner, buf, size));
-    hint_cache_[key] = winner;
-    return winner;
+    CORM_RETURN_NOT_OK(WriteWithRecovery(&addr, buf, size));
   }
-  hint_cache_[key] = resp.addr;
-  return resp.addr;
+  hint_cache_[key] = addr;
+  return addr;
 }
 
 Status Context::Del(uint64_t key) {
   OpTimer timer(this);
   stats_.index_lookups++;
   ++shard_.index_lookups;
-  hint_cache_.erase(key);
 
-  rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
-  EncodeRequest(RpcOp::kIndexRemove, IndexRemoveRequest{key}, &msg->request);
-  CORM_RETURN_NOT_OK(RpcCallPooled(&msg, ring_));
-  IndexRemoveResponse resp;
-  DecodeResponse(msg->response, &resp);
-  msg->Unref();
-  // The unlink happens before the free: a concurrent keyed lookup sees
-  // NotFound rather than a pointer into freed memory. The response pointer
-  // carries the owner hint, so this Free lands on the owning worker's ring
-  // without the forward hop.
-  GlobalAddr addr = resp.addr;
-  return Free(&addr);
+  // Del is ownership-bound: the cached hint's owner stamp routes it to the
+  // owning worker's ring; without a hint the home ring forwards it.
+  int ring = ring_;
+  if (auto it = hint_cache_.find(key); it != hint_cache_.end()) {
+    ring = RingHintFor(it->second);
+    hint_cache_.erase(it);
+  }
+  // The owner unlinks and frees in one handler. kObjectLocked (block in
+  // transit to the compaction leader, object under compaction or write-
+  // locked) means the key is still linked to its live object: retry.
+  return RetryWhileLocked([&] {
+    rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
+    EncodeRequest(RpcOp::kIndexDel, IndexDelRequest{key}, &msg->request);
+    Status st = RpcCallPooled(&msg, ring);
+    if (msg != nullptr) msg->Unref();
+    return st;
+  });
 }
 
 }  // namespace corm::core

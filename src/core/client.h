@@ -125,12 +125,17 @@ class Context : public sync::SyncMedium {
   // objects.
   //
   // Inserts or overwrites the value for `key`; returns the object's
-  // pointer (also usable with the pointer API).
+  // pointer (also usable with the pointer API). One RPC when the key is
+  // fresh (the worker allocates, fills and publishes the object) or its
+  // pointer is cached; an uncached overwrite adds the write RPC.
   Result<GlobalAddr> Put(uint64_t key, const void* buf, size_t size);
   // Reads the value for `key` into `buf`.
   Status Get(uint64_t key, void* buf, size_t size);
-  // Unlinks `key` and frees its object. The free is routed by the owner
-  // hint the kIndexRemove response stamps into the pointer's flag bits.
+  // Unlinks `key` and frees its object: one kIndexDel RPC, routed to the
+  // owning worker's ring by the cached pointer's owner hint (flags bits
+  // 7..4; the home ring forwards it otherwise). Retries while the object's
+  // block is in transit to the compaction leader; the key stays readable
+  // until the delete lands.
   Status Del(uint64_t key);
 
   // --- Recovery policy helper (client behaviour in §4.3.2). --------------
@@ -206,9 +211,13 @@ class Context : public sync::SyncMedium {
   RetryState RecoveryRetry();
   // Authoritative kIndexLookup RPC (counts index_rpc_fallbacks).
   Status IndexLookupRpc(uint64_t key, GlobalAddr* addr);
-  // Put's write: Write, retried with ReadWithRecovery's backoff while the
-  // object is locked (another writer's lock outlasting the worker's bounded
-  // spin, or compaction). Any other status is returned as is.
+  // Runs `op` (one RPC attempt), retried with ReadWithRecovery's backoff
+  // while it answers kObjectLocked; any other status is returned as is,
+  // and an exhausted recovery_retry deadline as kTimeout.
+  template <typename Op>
+  Status RetryWhileLocked(Op&& op);
+  // Put's write: Write under RetryWhileLocked (another writer's lock
+  // outlasting the worker's bounded spin, or compaction).
   Status WriteWithRecovery(GlobalAddr* addr, const void* buf, size_t size);
 
   CormNode* const node_;

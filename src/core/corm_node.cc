@@ -263,6 +263,7 @@ Result<CormNode::ReplIngressCoords> CormNode::CreateReplIngress(
     repl_ingress_[idx] =
         std::make_unique<rdma::ReplLogRing>(std::move(*ring));
     coords.id = static_cast<int>(idx);
+    coords.drainer = rpc_queue_.parker(coords.id % config_.num_workers);
     // Publish: workers scan [0, count) lock-free, so the slot must be
     // written before the count release-store makes it visible.
     repl_ingress_count_.store(idx + 1, std::memory_order_release);

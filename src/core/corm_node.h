@@ -24,6 +24,7 @@
 #include "alloc/thread_allocator.h"
 #include "common/lock_rank.h"
 #include "common/mutex.h"
+#include "common/parker.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/sharded_counters.h"
@@ -121,9 +122,9 @@ struct CormConfig {
   // the worker's affinity mask holds one CPU), so on an oversubscribed host
   // the scheduler rotation shrinks to the threads that actually have work,
   // while a request arriving within the budget costs no wake-up. A request
-  // pushed onto a parked worker's ring, or a message sent to its inbox,
-  // wakes it at once; only replicated-log records wait for the park's
-  // ≤~1 ms timeout (DESIGN.md §7.3). Busy workers never park. Biggest
+  // pushed onto a parked worker's ring, a message sent to its inbox, or a
+  // replicated-log record written into an ingress ring it drains wakes it
+  // at once (DESIGN.md §7.3). Busy workers never park. Biggest
   // single lever on few-core hosts, where an all-workers yield rotation
   // otherwise taxes every RPC round trip.
   bool idle_park = true;
@@ -233,7 +234,8 @@ struct CormConfig {
   X(index_rpc_fallbacks)  /* lookups that fell back to the RPC op */         \
   X(index_repairs)        /* bucket entries rewritten after moves */         \
   X(index_fenced_entries) /* live entries fenced by an epoch seal */         \
-  X(index_rehomes)        /* key ranges re-homed after a failover */
+  X(index_rehomes)        /* key ranges re-homed after a failover */         \
+  X(index_insert_full)    /* fresh-key Puts refused: bucket pair full */
 
 // One worker's cacheline-padded block of node counters. Workers only ever
 // touch their own shard (plus an overflow shard for non-worker threads), so
@@ -443,6 +445,10 @@ class CormNode {
     rdma::RKey r_key = 0;
     uint32_t slots = 0;
     uint32_t slot_bytes = 0;
+    // Parking spot of the worker that drains the ring: a writer wakes it
+    // after landing a record, so an idle applier does not sleep out its
+    // park timeout.
+    Parker* drainer = nullptr;
   };
   // Creates a sequenced ingress ring in this node's registered memory.
   // Ring `id` is drained (and its records applied in sequence order) by

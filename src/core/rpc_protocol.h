@@ -23,11 +23,14 @@ enum class RpcOp : uint8_t {
   kWrite = 4,
   kReleasePtr = 5,
   // Keyed index operations (DESIGN.md §13). Lookup is the authoritative
-  // fallback behind the one-sided bucket probe; Insert/Remove are the
-  // node-side mutation path (bucket seqlock writers).
+  // fallback behind the one-sided bucket probe. Put and Del are whole keyed
+  // mutations, each one RPC run to completion by the serving worker: Put
+  // allocates, fills and publishes a fresh key's object (a live key is
+  // handed back for the client's scheme-bracketed write), Del unlinks and
+  // frees on the block's owner.
   kIndexLookup = 6,
-  kIndexInsert = 7,
-  kIndexRemove = 8,
+  kIndexPut = 7,
+  kIndexDel = 8,
 };
 
 struct AllocRequest {
@@ -86,25 +89,27 @@ struct IndexLookupResponse {
   GlobalAddr addr;
 };
 
-struct IndexInsertRequest {
+// IndexPutRequest is followed by `size` value bytes.
+struct IndexPutRequest {
   uint64_t key;
+  uint32_t size;
+};
+
+struct IndexPutResponse {
+  // existed == 0: the worker created the object, wrote the value into it
+  // and published it; `addr` is its owner-hint-stamped pointer.
+  // existed == 1: the key was already live (or won a concurrent publish);
+  // nothing was written and `addr` names the live object, which the client
+  // writes through under its sync scheme.
   GlobalAddr addr;
+  uint8_t existed;
 };
 
-struct IndexInsertResponse {
-  GlobalAddr addr;     // canonical pointer the entry was minted with
-  uint8_t existed;     // 1: the key was already live; `addr` is the winner's
-};
-
-struct IndexRemoveRequest {
+// kIndexDel carries no response body: OK means the key is unlinked and its
+// object freed; kObjectLocked means neither happened (block in transit to
+// the compaction leader, or the object under compaction) and is retryable.
+struct IndexDelRequest {
   uint64_t key;
-};
-
-struct IndexRemoveResponse {
-  // The unlinked object, corrected and stamped with the owning worker's
-  // ring hint (GlobalAddr flags bits 7..4): the client's follow-up Free
-  // lands directly on the owner's ring instead of taking the forward hop.
-  GlobalAddr addr;
 };
 
 // --- Encoding helpers. -----------------------------------------------------

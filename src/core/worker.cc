@@ -46,10 +46,12 @@ void Worker::Send(WorkerMsg msg) {
 void Worker::ParkIdle(uint64_t timeout_ns) {
   rdma::RpcQueue* rpc = node_->rpc_queue();
   // The work whose producers wake this worker: its inbox (Send) and, while
-  // the node serves, its own RPC ring (RpcQueue::Push).
+  // the node serves, its own RPC ring (RpcQueue::Push) and the replicated-
+  // log ingress rings it drains (ReplicaLogShipper's ring writes).
   const auto has_work = [&] {
     return inbox_.NonEmpty() ||
-           (node_->IsServingRequests() && rpc->RingNonEmpty(id_));
+           (node_->IsServingRequests() &&
+            (rpc->RingNonEmpty(id_) || ReplIngressPending()));
   };
   ++stats_.idle_parks;
   if (parker_->Park(timeout_ns, has_work)) ++stats_.park_missed_wakeups;
@@ -129,10 +131,11 @@ void Worker::Run() {
     // run) until the spin budget has passed since the last piece of work: a
     // request arriving within it costs no futex wake-up. Then park on the
     // futex until a producer wakes us (a request pushed onto our ring, a
-    // message sent to our inbox). The budget is armed once per dry spell, so
-    // a timed-out park parks again at once: an idle node spins for at most
-    // one budget. The timeout escalates from 2 us to ~1 ms; it bounds only
-    // the sources that do not wake, the replicated-log ingress rings. On an
+    // message sent to our inbox, a record shipped into an ingress ring we
+    // drain). The budget is armed once per dry spell, so a timed-out park
+    // parks again at once: an idle node spins for at most one budget. The
+    // timeout escalates from 2 us to ~1 ms; it is a backstop, since every
+    // source of work wakes us. On an
     // oversubscribed host parking removes idle workers from the scheduler
     // rotation that every RPC round trip must traverse — the single biggest
     // hot-path cost on a few-core machine. With idle_park off the worker
@@ -252,11 +255,11 @@ void Worker::HandleRpc(rdma::RpcMessage* rpc, bool forwarded) {
     case RpcOp::kIndexLookup:
       HandleIndexLookup(rpc);
       break;
-    case RpcOp::kIndexInsert:
-      HandleIndexInsert(rpc);
+    case RpcOp::kIndexPut:
+      HandleIndexPut(rpc);
       break;
-    case RpcOp::kIndexRemove:
-      HandleIndexRemove(rpc);
+    case RpcOp::kIndexDel:
+      HandleIndexDel(rpc, forwarded);
       break;
     default:
       Complete(rpc, Status::InvalidArgument("unknown RPC opcode"));
@@ -304,7 +307,8 @@ Result<uint16_t> Worker::DrawObjectId(alloc::Block* block) {
   return Status::Internal("object ID space exhausted in a compactable block");
 }
 
-Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size) {
+Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size, Slice value,
+                                       Resolved* where) {
   auto class_idx = node_->ClassForPayload(payload_size);
   CORM_RETURN_NOT_OK(class_idx.status());
 
@@ -330,8 +334,10 @@ Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size) {
   h.class_idx = static_cast<uint8_t>(block->class_idx() & 0x3f);
   h.obj_id = *id;
   h.home_page = HomePageOf(block->base());
-  // Stamp the consistency metadata before publishing the header.
-  WritePayload(ptr, block->slot_size(), h.version, nullptr, 0,
+  // Write the initial value and stamp the consistency metadata with the
+  // header's version before publishing the header.
+  WritePayload(ptr, block->slot_size(), h.version, value.udata(),
+               static_cast<uint32_t>(value.size()),
                node_->config().consistency);
   StoreHeaderWord(ptr, h.Pack());
 
@@ -345,6 +351,11 @@ Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size) {
   // The allocating worker owns the block: clients route ownership-bound
   // RPCs straight into this worker's ring.
   addr.SetOwnerHint(id_);
+  if (where != nullptr) {
+    where->block = block;
+    where->slot = slot;
+    where->base = block->base();
+  }
   return addr;
 }
 
@@ -683,6 +694,21 @@ bool Worker::TryWrite(rdma::RpcMessage* rpc, const WriteRequest& req,
 // Replicated-log apply path (DESIGN.md §11).
 // ---------------------------------------------------------------------------
 
+bool Worker::ReplIngressPending() const {
+  const size_t n =
+      node_->repl_ingress_count_.load(std::memory_order_acquire);
+  if (n == 0) return false;
+  // Record bytes arrive through plain stores; this fence pairs with the
+  // one a shipper runs before Wake (log_shipper.cc), so either this check
+  // sees the record or the shipper sees the park.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  const size_t nw = static_cast<size_t>(node_->num_workers());
+  for (size_t i = static_cast<size_t>(id_); i < n; i += nw) {
+    if (node_->repl_ingress_[i]->HasRecord()) return true;
+  }
+  return false;
+}
+
 size_t Worker::DrainReplIngress() {
   const size_t n =
       node_->repl_ingress_count_.load(std::memory_order_acquire);
@@ -836,12 +862,11 @@ void Worker::ReleaseGhost(const GhostToRelease& ghost) {
   node_->ReleaseGhostAction(ghost);
 }
 
-Status Worker::FreeResolved(const Resolved& r) {
-  alloc::Block* block = r.block;
-  uint8_t* ptr = SlotPtr(r.base, block, r.slot);
+Status Worker::LockForFree(const Resolved& r, ObjectHeader* pre) {
+  uint8_t* ptr = SlotPtr(r.base, r.block, r.slot);
   uint64_t w = LoadHeaderWord(ptr);
   for (int attempt = 0;; ++attempt) {
-    ObjectHeader h = ObjectHeader::Unpack(w);
+    const ObjectHeader h = ObjectHeader::Unpack(w);
     if (h.lock == LockState::kCompacting) {
       return Status::ObjectLocked("object under compaction");
     }
@@ -854,17 +879,33 @@ Status Worker::FreeResolved(const Resolved& r) {
       w = LoadHeaderWord(ptr);
       continue;
     }
-    ObjectHeader dead = h;
-    dead.lock = LockState::kTombstone;
-    if (CasHeaderWord(ptr, w, dead.Pack())) {
-      if (ClassCompactable(block->class_idx())) block->EraseId(h.obj_id);
-      const bool empty = allocator_.Free(block, r.slot);
-      auto ghost = node_->vaddr_tracker_.OnFree(HomeVaddrOf(h.home_page));
-      if (ghost) ReleaseGhost(*ghost);
-      if (empty) MaybeReleaseEmptyBlock(block);
+    ObjectHeader locked = h;
+    locked.lock = LockState::kWriteLocked;
+    if (CasHeaderWord(ptr, w, locked.Pack())) {
+      *pre = h;
       return Status::OK();
     }
+    // CAS failure reloaded `w`; retry.
   }
+}
+
+void Worker::FreeLocked(const Resolved& r, const ObjectHeader& pre) {
+  alloc::Block* block = r.block;
+  ObjectHeader dead = pre;
+  dead.lock = LockState::kTombstone;
+  StoreHeaderWord(SlotPtr(r.base, block, r.slot), dead.Pack());
+  if (ClassCompactable(block->class_idx())) block->EraseId(pre.obj_id);
+  const bool empty = allocator_.Free(block, r.slot);
+  auto ghost = node_->vaddr_tracker_.OnFree(HomeVaddrOf(pre.home_page));
+  if (ghost) ReleaseGhost(*ghost);
+  if (empty) MaybeReleaseEmptyBlock(block);
+}
+
+Status Worker::FreeResolved(const Resolved& r) {
+  ObjectHeader pre;
+  CORM_RETURN_NOT_OK(LockForFree(r, &pre));
+  FreeLocked(r, pre);
+  return Status::OK();
 }
 
 void Worker::HandleFree(rdma::RpcMessage* rpc, bool forwarded) {
@@ -979,26 +1020,22 @@ void Worker::HandleReleasePtr(rdma::RpcMessage* rpc) {
 // Keyed index operations (DESIGN.md §13).
 // ---------------------------------------------------------------------------
 
-void Worker::HandleIndexLookup(rdma::RpcMessage* rpc) {
-  IndexLookupRequest req;
-  DecodeRequest(rpc->request, &req);
-  // Every kIndexLookup is, by construction, a one-sided probe that gave up
-  // (stale hint, torn bucket, fenced entry, or a cold cache): count it as
-  // the fallback it is.
+Status Worker::LookupCanonical(uint64_t key, GlobalAddr* out) {
+  // Every authoritative lookup is, by construction, a one-sided probe that
+  // gave up or was skipped (stale hint, torn bucket, fenced entry, or a
+  // cold cache): count it as the fallback it is.
   ++stats_.index_rpc_fallbacks;
 
   index::IndexEntry entry;
-  if (!node_->index_view()->Lookup(req.key, &entry)) {
-    Complete(rpc, Status::NotFound("key not in index"));
-    return;
+  if (!node_->index_view()->Lookup(key, &entry)) {
+    return Status::NotFound("key not in index");
   }
   auto resolved = ResolveObject(entry.addr);
   if (!resolved.ok()) {
     // The entry outlived its object (block released under it). Unlink it so
     // later one-sided probes stop chasing the dangling hint.
-    if (node_->index_view()->Remove(req.key)) ++stats_.index_repairs;
-    Complete(rpc, Status::NotFound("index entry outlived its object"));
-    return;
+    if (node_->index_view()->Remove(key)) ++stats_.index_repairs;
+    return Status::NotFound("index entry outlived its object");
   }
   const GlobalAddr canonical =
       CorrectedAddr(entry.addr, *resolved, resolved->block->slot_size());
@@ -1009,62 +1046,144 @@ void Worker::HandleIndexLookup(rdma::RpcMessage* rpc) {
     // Self-healing repair: re-mint the entry with the corrected pointer,
     // the live owner hint, and the current epoch, so the next one-sided
     // probe hits without falling back here again.
-    if (node_->index_view()->Repair(req.key, canonical)) {
+    if (node_->index_view()->Repair(key, canonical)) {
       ++stats_.index_repairs;
     }
   }
-  EncodeResponse(IndexLookupResponse{canonical}, &rpc->response);
-  Complete(rpc, Status::OK());
+  *out = canonical;
+  return Status::OK();
 }
 
-void Worker::HandleIndexInsert(rdma::RpcMessage* rpc) {
-  IndexInsertRequest req;
+void Worker::HandleIndexLookup(rdma::RpcMessage* rpc) {
+  IndexLookupRequest req;
   DecodeRequest(rpc->request, &req);
+  IndexLookupResponse resp;
+  Status st = LookupCanonical(req.key, &resp.addr);
+  if (st.ok()) EncodeResponse(resp, &rpc->response);
+  Complete(rpc, std::move(st));
+}
 
-  auto resolved = ResolveObject(req.addr);
-  if (!resolved.ok()) {
-    Complete(rpc, resolved.status());
+void Worker::HandleIndexPut(rdma::RpcMessage* rpc) {
+  IndexPutRequest req;
+  Slice value = DecodeRequest(rpc->request, &req);
+  if (value.size() < req.size) {
+    Complete(rpc, Status::InvalidArgument("put value shorter than declared"));
     return;
   }
-  const GlobalAddr canonical =
-      CorrectedAddr(req.addr, *resolved, resolved->block->slot_size());
-  IndexInsertResponse resp;
-  GlobalAddr existing;
-  Status st = node_->index_view()->Insert(req.key, canonical, &existing);
-  if (st.code() == StatusCode::kAlreadyExists) {
-    // Publish race: the entry is live and points at the winner's object.
-    resp.addr = existing;
-    resp.existed = 1;
-  } else if (st.ok()) {
-    resp.addr = canonical;
+  value = Slice(value.data(), req.size);
+
+  // A live key is the client's to overwrite: its write runs bracketed by
+  // the configured sync scheme (cas/lease lock words are client-side), so
+  // the worker only hands back the pointer.
+  IndexPutResponse resp;
+  resp.existed = 1;
+  Status st = LookupCanonical(req.key, &resp.addr);
+  if (st.ok()) {
+    EncodeResponse(resp, &rpc->response);
+    Complete(rpc, Status::OK());
+    return;
+  }
+  if (!st.IsNotFound()) {
+    Complete(rpc, std::move(st));
+    return;
+  }
+
+  // Fresh key: allocate and fill the object before publishing it, so a
+  // concurrent Get observes either NotFound or the complete value. No
+  // client can name the object until the insert below, so the fill needs
+  // no lock of any kind.
+  ++stats_.rpc_allocs;
+  Charge(rpc, node_->latency_model().AllocExtraNs());
+  Resolved mine;
+  auto obj = AllocObject(req.size, value, &mine);
+  if (!obj.ok()) {
+    Complete(rpc, obj.status());
+    return;
+  }
+  Charge(rpc, node_->latency_model().WriteLockHoldNs(req.size));
+  GlobalAddr winner;
+  st = node_->index_view()->Insert(req.key, *obj, &winner);
+  if (st.ok()) {
+    resp.addr = *obj;
     resp.existed = 0;
-  } else {
-    Complete(rpc, st);  // bucket pair full or lock timeout
+    EncodeResponse(resp, &rpc->response);
+    Complete(rpc, Status::OK());
     return;
   }
-  EncodeResponse(resp, &rpc->response);
-  Complete(rpc, Status::OK());
+  // Not published (a concurrent Put won, or the bucket pair is full): the
+  // object was never visible, so it goes straight back to the allocator.
+  ++stats_.rpc_frees;
+  Charge(rpc, node_->latency_model().FreeExtraNs());
+  if (Status freed = FreeResolved(mine); !freed.ok()) {
+    Complete(rpc, std::move(freed));
+    return;
+  }
+  if (st.code() == StatusCode::kAlreadyExists) {
+    resp.addr = winner;  // existed stays 1: the client writes through it
+    EncodeResponse(resp, &rpc->response);
+    Complete(rpc, Status::OK());
+    return;
+  }
+  if (st.code() == StatusCode::kOutOfMemory) ++stats_.index_insert_full;
+  Complete(rpc, std::move(st));
 }
 
-void Worker::HandleIndexRemove(rdma::RpcMessage* rpc) {
-  IndexRemoveRequest req;
+void Worker::HandleIndexDel(rdma::RpcMessage* rpc, bool forwarded) {
+  IndexDelRequest req;
   DecodeRequest(rpc->request, &req);
+  if (!forwarded) {
+    // Count on first receipt; the op may be forwarded to the owner.
+    ++stats_.rpc_frees;
+  }
 
   index::IndexEntry entry;
   if (!node_->index_view()->Lookup(req.key, &entry)) {
     Complete(rpc, Status::NotFound("key not in index"));
     return;
   }
-  // Correct the pointer before unlinking so the response carries the owning
-  // worker's ring hint (GlobalAddr flags bits 7..4) and the client's
-  // follow-up Free routes straight to the owner's ring. A failed resolve
-  // still unlinks: the entry is dead weight either way.
-  GlobalAddr out = entry.addr;
-  if (auto resolved = ResolveObject(entry.addr); resolved.ok()) {
-    out = CorrectedAddr(entry.addr, *resolved, resolved->block->slot_size());
+  // Route to the block owner first, exactly as HandleFree does: only the
+  // owner mutates block metadata, and while this handler runs on the owner
+  // no Collect can detach the block (the owner serves Collect itself).
+  const sim::VAddr base = BlockBaseOf(entry.addr.vaddr, node_->block_bytes());
+  const CormNode::DirectoryEntry dir = LookupBlockCached(base);
+  // A released block has no owner: its entry is dead weight, which the
+  // failed resolve below unlinks.
+  const int owner = dir.block != nullptr ? dir.block->owner_thread() : id_;
+  if (owner != id_) {
+    if (owner < 0) {
+      // Block in transit to the compaction leader: nothing was unlinked,
+      // the client retries after the run.
+      Complete(rpc, Status::ObjectLocked("block ownership in transit"));
+      return;
+    }
+    ++stats_.forwarded_ops;
+    WorkerMsg msg;
+    msg.kind = WorkerMsg::Kind::kForwardedRpc;
+    msg.rpc = rpc;
+    node_->worker(owner)->Send(msg);
+    return;  // the owner completes the RPC
+  }
+  Charge(rpc, node_->latency_model().FreeExtraNs());
+
+  auto resolved = ResolveObject(entry.addr);
+  if (!resolved.ok()) {
+    // The entry outlived its object: unlink the dead weight.
+    if (node_->index_view()->Remove(req.key)) ++stats_.index_repairs;
+    Complete(rpc, Status::NotFound("index entry outlived its object"));
+    return;
+  }
+  // Write-lock first, unlink second, free last: a check that fails leaves
+  // the key linked to its live object, and a concurrent keyed lookup sees
+  // the live entry, then the write lock (transient), then NotFound — never
+  // an entry naming a freed slot.
+  ObjectHeader pre;
+  Status st = LockForFree(*resolved, &pre);
+  if (!st.ok()) {
+    Complete(rpc, std::move(st));
+    return;
   }
   node_->index_view()->Remove(req.key);
-  EncodeResponse(IndexRemoveResponse{out}, &rpc->response);
+  FreeLocked(*resolved, pre);
   Complete(rpc, Status::OK());
 }
 
@@ -1076,24 +1195,17 @@ void Worker::HandleBulk(BulkRequest* req) {
   if (req->is_alloc) {
     // Bulk loader: benchmark/test path, bypasses the RPC wire entirely.
     req->out_addrs.reserve(req->count);  // NOLINT(corm-hotpath-alloc)
+    Buffer pattern(req->payload_size);
     for (size_t i = 0; i < req->count; ++i) {
-      auto addr = AllocObject(req->payload_size);
+      // Deterministic payload for later verification.
+      PatternFill(req->index_base + i, pattern.data(),
+                  static_cast<uint32_t>(pattern.size()));
+      auto addr = AllocObject(req->payload_size,
+                              Slice(pattern.data(), pattern.size()));
       if (!addr.ok()) {
         req->status = addr.status();
         break;
       }
-      // Deterministic payload for later verification.
-      const sim::VAddr base =
-          BlockBaseOf(addr->vaddr, node_->block_bytes());
-      const CormNode::DirectoryEntry entry = LookupBlockCached(base);
-      alloc::Block* block = entry.block;
-      uint8_t* ptr = SlotPtr(base, block, block->SlotFor(addr->vaddr));
-      Buffer pattern(req->payload_size);
-      PatternFill(req->index_base + i, pattern.data(),
-                  static_cast<uint32_t>(pattern.size()));
-      WritePayload(ptr, block->slot_size(), /*version=*/1, pattern.data(),
-                   static_cast<uint32_t>(pattern.size()),
-                   node_->config().consistency);
       req->out_addrs.push_back(*addr);  // NOLINT(corm-hotpath-alloc) bulk path
     }
   } else {

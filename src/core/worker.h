@@ -78,7 +78,7 @@ struct BulkRequest {
 
 struct WorkerMsg {
   enum class Kind : uint8_t {
-    kForwardedRpc,  // ownership-bound RPC (Free) routed to the block owner
+    kForwardedRpc,  // ownership-bound RPC (Free, keyed Del) sent to the owner
     kCorrection,    // pointer-correction query (thread messaging, §3.2.1)
     kCollect,       // compaction stage 1: donate low-occupancy blocks
     kStats,         // fragmentation accounting snapshot
@@ -185,14 +185,29 @@ class Worker {
   // (fresh pointer + owner hint + current epoch) when it was stale or
   // fenced, so RPC fallbacks repair the one-sided path as a side effect.
   void HandleIndexLookup(rdma::RpcMessage* rpc);
-  void HandleIndexInsert(rdma::RpcMessage* rpc);
-  void HandleIndexRemove(rdma::RpcMessage* rpc);
+  // Keyed Put: a live key answers with its canonical pointer (the client
+  // writes through it); a fresh key is allocated here, filled with the
+  // value before anything can name it, and published by the index insert.
+  // A lost publish race or a full bucket pair frees the object again.
+  void HandleIndexPut(rdma::RpcMessage* rpc);
+  // Keyed Del, ownership-bound like Free: forwarded to the block owner,
+  // which write-locks the object, unlinks the key and frees the object in
+  // one handler. Anything that stops the free (block in transit, object
+  // under compaction) answers kObjectLocked before the unlink.
+  void HandleIndexDel(rdma::RpcMessage* rpc, bool forwarded);
+  // The authoritative lookup both keyed handlers share: the entry's
+  // corrected, owner-hint-stamped pointer, with the bucket entry repaired
+  // when it was stale or fenced and unlinked when it outlived its object
+  // (then kNotFound). Counts the RPC fallback it is.
+  Status LookupCanonical(uint64_t key, GlobalAddr* out);
 
   // --- Replicated-log apply path (DESIGN.md §11). ------------------------
   // Drains up to kReplApplyBatch in-sequence records from every ingress
   // ring this worker owns (ring id % num_workers == id_). Returns the
   // number of records durably applied.
   size_t DrainReplIngress();
+  // True when one of those rings holds its next record (ParkIdle's check).
+  bool ReplIngressPending() const;
   // Applies one record through the object seqlock (same lock discipline as
   // HandleWrite). Returns true when the ring may advance past the record —
   // applied, duplicate, epoch-fenced, or orphaned — and false when the
@@ -216,10 +231,21 @@ class Worker {
   // Looks up an object ID in a block this worker owns.
   Result<uint32_t> OwnerLookup(const alloc::Block* block, uint16_t obj_id);
 
-  // Allocates one object; returns its address. Used by RPC + bulk paths.
-  Result<GlobalAddr> AllocObject(uint32_t payload_size);
+  // Allocates one object whose payload starts as `value` (written before
+  // the header is published, so no reader ever sees the slot half-filled);
+  // returns its address and, when `where` is non-null, its location. Used
+  // by the RPC, keyed-Put and bulk paths.
+  Result<GlobalAddr> AllocObject(uint32_t payload_size, Slice value = {},
+                                 Resolved* where = nullptr);
   // Frees a resolved object (this worker must own the block).
   Status FreeResolved(const Resolved& r);
+  // FreeResolved's two halves, for callers that act between them: write-
+  // lock the object (kObjectLocked when it is under compaction or stays
+  // write-locked past a bounded spin, kNotFound when already freed; on OK
+  // *pre holds the header before the lock), then tombstone it and return
+  // the slot to the allocator.
+  Status LockForFree(const Resolved& r, ObjectHeader* pre);
+  void FreeLocked(const Resolved& r, const ObjectHeader& pre);
 
   // Byte pointer to a slot through the *client-visible* base (aliases
   // resolve to the same frames after remap).

@@ -77,7 +77,8 @@ int ReplicatedContext::SessionFor(int node) {
   if (!coords.ok()) return -1;
   session_for_node_[node] =
       shipper_.AddSession(dsm_.cluster()->node(node)->rnic(), coords->base,
-                          coords->r_key, coords->slots, coords->slot_bytes);
+                          coords->r_key, coords->slots, coords->slot_bytes,
+                          coords->drainer);
   return session_for_node_[node];
 }
 
@@ -89,7 +90,7 @@ int ReplicatedContext::RepairSessionFor(int node) {
   if (!coords.ok()) return -1;
   repair_session_for_node_[node] = repair_shipper_->AddSession(
       dsm_.cluster()->node(node)->rnic(), coords->base, coords->r_key,
-      coords->slots, coords->slot_bytes);
+      coords->slots, coords->slot_bytes, coords->drainer);
   return repair_session_for_node_[node];
 }
 

@@ -3,7 +3,7 @@
 // registered for one-sided access like the sync-lock table); IndexTable is
 // a view that implements the seqlocked mutation protocol over it.
 //
-// Writers (RPC workers serving kIndexInsert/Remove/Lookup-repair, and the
+// Writers (RPC workers serving kIndexPut/Del/Lookup-repair, and the
 // compaction engine's IndexRepair sub-phase) serialize per bucket through
 // the bucket's seq word: CAS even→odd, mutate, release odd→even. Holds are
 // a single 32-byte entry rewrite, so contention is momentary — but every

@@ -7,6 +7,7 @@
 
 #include "rdma/log_shipper.h"
 
+#include <atomic>
 #include <cstring>
 
 #include "common/logging.h"
@@ -25,7 +26,7 @@ constexpr int kRetransmitEvery = 8;
 
 int ReplicaLogShipper::AddSession(Rnic* remote_rnic, sim::VAddr ring_base,
                                   RKey r_key, uint32_t slots,
-                                  uint32_t slot_bytes) {
+                                  uint32_t slot_bytes, Parker* drainer) {
   // Session setup is the cold path (once per replica node per context);
   // the staging image is the allocation that keeps Ship() allocation-free.
   // NOLINT(corm-hotpath-alloc)
@@ -34,6 +35,7 @@ int ReplicaLogShipper::AddSession(Rnic* remote_rnic, sim::VAddr ring_base,
   s->r_key = r_key;
   s->slots = slots;
   s->slot_bytes = slot_bytes;
+  s->drainer = drainer;
   // Staging image + per-slot lengths, sized once here so the ship path
   // never grows them. NOLINT(corm-hotpath-alloc)
   s->staging.resize(static_cast<size_t>(slots) * slot_bytes);
@@ -66,6 +68,12 @@ Status ReplicaLogShipper::WriteSlot(Session& s, uint64_t seq) {
   }
   CORM_RETURN_NOT_OK(ns.status());
   modeled_ns_ += *ns;
+  // The record landed through plain stores (the simulated RDMA write). The
+  // fence orders them before Wake's check of the parking word; it pairs
+  // with the fence the applier runs between announcing its park and
+  // checking its rings (common/parker.h, Worker::ParkIdle).
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  s.drainer->Wake();
   return Status::OK();
 }
 

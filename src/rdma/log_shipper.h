@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/parker.h"
 #include "common/result.h"
 #include "common/retry.h"
 #include "common/slice.h"
@@ -38,8 +39,10 @@ class ReplicaLogShipper {
 
   // Opens a session to a remote ReplLogRing (cold path, run once per
   // replica node). Returns the session index used by every other call.
+  // `drainer` is the parking spot of the worker that applies the ring:
+  // every record written into the ring wakes it.
   int AddSession(Rnic* remote_rnic, sim::VAddr ring_base, RKey r_key,
-                 uint32_t slots, uint32_t slot_bytes);
+                 uint32_t slots, uint32_t slot_bytes, Parker* drainer);
 
   size_t num_sessions() const { return sessions_.size(); }
   // Usable record-payload bytes per slot for `session`.
@@ -97,6 +100,7 @@ class ReplicaLogShipper {
     uint64_t acked = 0;  // last applied sequence observed remotely
     Buffer staging;      // slots * slot_bytes local image of in-flight slots
     std::vector<uint32_t> staged_len;  // wire bytes per slot
+    Parker* drainer = nullptr;         // the ring's applier, woken per write
 
     explicit Session(Rnic* remote) : qp(remote) {}
   };
@@ -109,6 +113,8 @@ class ReplicaLogShipper {
     return s.staging.data() +
            ((seq - 1) % s.slots) * static_cast<size_t>(s.slot_bytes);
   }
+  // Writes the staged record `seq` into its ring slot and wakes the ring's
+  // applier.
   Status WriteSlot(Session& s, uint64_t seq);
 
   std::vector<std::unique_ptr<Session>> sessions_;

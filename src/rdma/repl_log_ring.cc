@@ -67,6 +67,15 @@ bool ReplLogRing::NextRecord(ReplRecordHeader* hdr, Buffer* payload) {
   return true;
 }
 
+bool ReplLogRing::HasRecord() const {
+  const uint64_t next = applied() + 1;
+  const uint8_t* slot = space_->TranslatePtr(SlotAddr(next));
+  CORM_CHECK(slot != nullptr);
+  ReplRecordHeader h;
+  RacyCopy(&h, slot, sizeof(h));
+  return h.magic == kReplRecordMagic && h.seq == next;
+}
+
 void ReplLogRing::Advance() {
   const uint64_t next = applied() + 1;
   uint8_t* slot = space_->TranslatePtr(SlotAddr(next));

@@ -71,6 +71,10 @@ class ReplLogRing {
   // the applier calls Advance() only after durably applying the record, so
   // a crashed-and-restarted node re-applies instead of losing it.
   bool NextRecord(ReplRecordHeader* hdr, Buffer* payload);
+  // Cheap arrival check for an idle applier: true when the slot of record
+  // applied+1 carries its header (the payload may still be in flight —
+  // NextRecord's crc decides that).
+  bool HasRecord() const;
 
   // Publishes record applied+1 as durably applied: clears the slot magic
   // and release-stores the new high-water mark into the control word.

@@ -15,6 +15,7 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "index/index_layout.h"
 #include "index/index_table.h"
 #include "sim/fault_injector.h"
+#include "sim/latency_model.h"
 #include "workload/keyed_driver.h"
 
 namespace corm {
@@ -146,6 +148,159 @@ TEST(IndexTest, PutWaitsOutAWriteLockHeldPastTheServerSpin) {
   ASSERT_TRUE(ctx->Get(42, out.data(), kValue).ok());
   EXPECT_TRUE(workload::CheckValue(43, out.data(), kValue));
   EXPECT_GE(ctx->stats().retries, 1u);
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// --- One RPC per keyed write. ----------------------------------------------
+// The serving worker runs a fresh Put's alloc-fill-publish and a Del's
+// unlink-free itself; only an overwrite through an uncached pointer takes a
+// second RPC (the scheme-bracketed write).
+
+// Bytes held by live objects of `class_idx`, summed over the workers.
+uint64_t UsedBytes(CormNode* node, uint32_t class_idx) {
+  return node->Fragmentation()[class_idx].used_bytes;
+}
+
+TEST(IndexTest, KeyedWritesCostOneRpcEach) {
+  CormNode node(BaseConfig());
+  auto ctx = Context::Create(&node);
+  std::vector<uint8_t> buf(kValue), out(kValue);
+  const auto rpcs_of = [](const Context& c, auto&& op) {
+    const uint64_t before = c.stats().rpc_calls;
+    op();
+    return c.stats().rpc_calls - before;
+  };
+
+  workload::FillValue(1, buf.data(), kValue);
+  EXPECT_EQ(rpcs_of(*ctx, [&] {
+              ASSERT_TRUE(ctx->Put(1, buf.data(), kValue).ok());
+            }),
+            1u)
+      << "fresh Put";
+  workload::FillValue(2, buf.data(), kValue);
+  EXPECT_EQ(rpcs_of(*ctx, [&] {
+              ASSERT_TRUE(ctx->Put(1, buf.data(), kValue).ok());
+            }),
+            1u)
+      << "hinted overwrite";
+  auto cold = Context::Create(&node);
+  workload::FillValue(3, buf.data(), kValue);
+  EXPECT_EQ(rpcs_of(*cold, [&] {
+              ASSERT_TRUE(cold->Put(1, buf.data(), kValue).ok());
+            }),
+            2u)
+      << "unhinted overwrite";
+  ASSERT_TRUE(ctx->Get(1, out.data(), kValue).ok());
+  EXPECT_TRUE(workload::CheckValue(3, out.data(), kValue));
+  EXPECT_EQ(rpcs_of(*ctx, [&] { ASSERT_TRUE(ctx->Del(1).ok()); }), 1u)
+      << "hinted Del";
+
+  // A Del without a cached pointer is one RPC too: the home ring forwards
+  // it to the owner if need be.
+  ASSERT_TRUE(ctx->Put(2, buf.data(), kValue).ok());
+  auto other = Context::Create(&node);
+  EXPECT_EQ(rpcs_of(*other, [&] { ASSERT_TRUE(other->Del(2).ok()); }), 1u)
+      << "unhinted Del";
+  EXPECT_EQ(ctx->Get(1, out.data(), kValue).code(), StatusCode::kNotFound);
+  EXPECT_EQ(ctx->Get(2, out.data(), kValue).code(), StatusCode::kNotFound);
+
+  auto cls = node.ClassForPayload(kValue);
+  ASSERT_TRUE(cls.ok());
+  EXPECT_EQ(UsedBytes(&node, *cls), 0u);
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// N clients Put the same fresh keys at once, round after round. Every Put
+// succeeds, one object per key wins the publish and the losers' objects go
+// back to the allocator, so exactly one object per key stays allocated.
+TEST(IndexTest, ConcurrentPutsOfOneFreshKeyKeepOneObject) {
+  CormNode node(BaseConfig());
+  constexpr int kThreads = 4;
+#ifdef CORM_TSAN_ENABLED
+  constexpr uint64_t kRounds = 64;
+#else
+  constexpr uint64_t kRounds = 256;
+#endif
+  // Real-time pacing: the worker's modeled allocation cost then spans the
+  // gap between its lookup and its insert, so racing Puts overlap there.
+  const double scale = sim::SetSimTimeScale(1.0);
+  std::atomic<int> arrived{0};
+  std::vector<std::vector<Status>> results(
+      kThreads, std::vector<Status>(kRounds));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto ctx = Context::Create(&node, ShortDeadlines());
+      std::vector<uint8_t> buf(kValue);
+      for (uint64_t key = 0; key < kRounds; ++key) {
+        workload::FillValue(key * 100 + static_cast<uint64_t>(t), buf.data(),
+                            kValue);
+        // Round barrier: all threads Put key `key` together.
+        arrived.fetch_add(1);
+        const int target = static_cast<int>(key + 1) * kThreads;
+        while (arrived.load() < target) std::this_thread::yield();
+        results[t][key] = ctx->Put(key, buf.data(), kValue).status();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  sim::SetSimTimeScale(scale);
+
+  auto reader = Context::Create(&node);
+  std::vector<uint8_t> out(kValue);
+  for (uint64_t key = 0; key < kRounds; ++key) {
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_TRUE(results[t][key].ok()) << "key " << key << " thread " << t
+                                        << ": " << results[t][key].ToString();
+    }
+    ASSERT_TRUE(reader->Get(key, out.data(), kValue).ok()) << key;
+    bool one_of_them = false;
+    for (int t = 0; t < kThreads; ++t) {
+      one_of_them |= workload::CheckValue(key * 100 + static_cast<uint64_t>(t),
+                                          out.data(), kValue);
+    }
+    EXPECT_TRUE(one_of_them) << "key " << key << " holds nobody's value";
+  }
+  auto cls = node.ClassForPayload(kValue);
+  ASSERT_TRUE(cls.ok());
+  EXPECT_EQ(node.index_view()->LiveEntries(), kRounds);
+  EXPECT_EQ(UsedBytes(&node, *cls), kRounds * node.classes().ClassSize(*cls));
+  EXPECT_TRUE(node.Audit().ok());
+  // The losers' frees: the lost-race path did run.
+  EXPECT_GT(node.stats().rpc_frees, 0u);
+}
+
+// A fresh key whose two candidate buckets are full is refused with a
+// definite status, and the object the worker had already filled for it is
+// freed again: the used bytes are exactly the accepted keys'.
+TEST(IndexTest, FullBucketPairRefusesThePutWithoutAnOrphan) {
+  CormConfig config = BaseConfig();
+  config.index_buckets = 512;
+  CormNode node(config);
+  auto ctx = Context::Create(&node);
+  std::vector<uint8_t> buf(kValue), out(kValue);
+  const uint64_t capacity = 4 * config.index_buckets;
+  uint64_t accepted = 0;
+  Status refused;
+  for (uint64_t k = 0; k < capacity; ++k) {
+    workload::FillValue(k, buf.data(), kValue);
+    auto addr = ctx->Put(k, buf.data(), kValue);
+    if (!addr.ok()) {
+      refused = addr.status();
+      break;
+    }
+    ++accepted;
+  }
+  ASSERT_LT(accepted, capacity) << "no Put was refused";
+  EXPECT_EQ(refused.code(), StatusCode::kOutOfMemory) << refused;
+  EXPECT_EQ(node.stats().index_insert_full, 1u);
+  EXPECT_EQ(ctx->Get(accepted, out.data(), kValue).code(),
+            StatusCode::kNotFound);
+
+  auto cls = node.ClassForPayload(kValue);
+  ASSERT_TRUE(cls.ok());
+  EXPECT_EQ(node.index_view()->LiveEntries(), accepted);
+  EXPECT_EQ(UsedBytes(&node, *cls), accepted * node.classes().ClassSize(*cls));
   EXPECT_TRUE(node.Audit().ok());
 }
 
@@ -542,6 +697,198 @@ TEST(IndexTest, FailedRemapRollsThePairBack) {
     EXPECT_TRUE(workload::CheckValue(value, out.data(), kValue)) << k;
   }
   EXPECT_TRUE(node.Audit().ok());
+}
+
+// --- A keyed Del never strands its object. --------------------------------
+// The owner checks the block and the object before it unlinks the key: a
+// Del that meets a block collected for compaction (ownership in transit)
+// answers kObjectLocked with the key still linked, rides it out under
+// recovery_retry, and lands after the run.
+
+// The worker that owns the block behind `addr` (-1 while the block sits
+// in a compaction pool).
+int OwnerOf(CormNode* node, const GlobalAddr& addr) {
+  const auto entry = node->directory_for_testing().Lookup(
+      core::BlockBaseOf(addr.vaddr, node->block_bytes()));
+  EXPECT_NE(entry.block, nullptr);
+  return entry.block != nullptr ? entry.block->owner_thread() : -1;
+}
+
+TEST(IndexTest, DelOfACollectedKeyWaitsOutTheRunWithoutStrandingIt) {
+  PhaseGate gate;
+  CormConfig config = BaseConfig();
+  config.compaction_phase_hook =
+      gate.FreezeAt(core::CompactionPhase::kConflictCheck);
+  CormNode node(config);
+  // Worker 1 owns the loaded blocks, so the Dels land on a worker that
+  // keeps serving while the leader (worker 0) is frozen after Collect.
+  auto ctx = OffLeaderClient(&node);
+  const auto survivors = LoadFragmented(ctx.get());
+  auto cls = node.ClassForPayload(kValue);
+  ASSERT_TRUE(cls.ok());
+  const uint32_t slot_size = node.classes().ClassSize(*cls);
+  std::vector<uint8_t> out(kValue);
+
+  Compactor compactor(&node, *cls, &gate);
+  gate.WaitPaused();
+  const auto victim =
+      std::find_if(survivors.begin(), survivors.end(),
+                   [&](const auto& s) { return OwnerOf(&node, s.second) < 0; });
+  ASSERT_NE(victim, survivors.end()) << "Collect took none of the blocks";
+  const uint64_t key = victim->first;
+
+  // A Del with a short recovery deadline gives up with a definite status,
+  // and nothing was unlinked: the key still reads its bytes.
+  auto impatient = OffLeaderClient(&node, ShortDeadlines());
+  ASSERT_TRUE(impatient->Get(key, out.data(), kValue).ok());
+  EXPECT_EQ(impatient->Del(key).code(), StatusCode::kTimeout);
+  EXPECT_GT(impatient->stats().retries, 0u);
+  index::IndexEntry entry;
+  EXPECT_TRUE(node.index_view()->Lookup(key, &entry));
+  ASSERT_TRUE(impatient->Get(key, out.data(), kValue).ok());
+  EXPECT_TRUE(workload::CheckValue(key, out.data(), kValue));
+
+  // A patient Del retries across the rest of the run and then lands.
+  Status del_status = Status::Internal("never ran");
+  std::atomic<bool> started{false};
+  std::thread deleter([&] {
+    started.store(true);
+    del_status = ctx->Del(key);
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const auto& report = compactor.Join();
+  deleter.join();
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(del_status.ok()) << del_status;
+
+  // No leftover object: the key is gone, and the class holds exactly the
+  // other survivors.
+  EXPECT_EQ(ctx->Get(key, out.data(), kValue).code(), StatusCode::kNotFound);
+  EXPECT_FALSE(node.index_view()->Lookup(key, &entry));
+  EXPECT_EQ(node.index_view()->LiveEntries(), survivors.size() - 1);
+  EXPECT_EQ(UsedBytes(&node, *cls), (survivors.size() - 1) * slot_size);
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// Compaction hands collected blocks to the leader, so a client's cached
+// pointer can carry a stale owner hint. Its Del lands on the old owner's
+// ring, which forwards it once to the new owner.
+TEST(IndexTest, DelWithAStaleOwnerHintIsForwardedOnce) {
+  CormNode node(BaseConfig());
+  auto ctx = OffLeaderClient(&node);
+  const auto survivors = LoadFragmented(ctx.get());
+  auto cls = node.ClassForPayload(kValue);
+  ASSERT_TRUE(cls.ok());
+  auto report = node.Compact(*cls);
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  const auto moved = std::find_if(
+      survivors.begin(), survivors.end(), [&](const auto& s) {
+        return OwnerOf(&node, s.second) != s.second.OwnerHint();
+      });
+  ASSERT_NE(moved, survivors.end()) << "no block changed owner";
+  const uint64_t forwarded = node.stats().forwarded_ops;
+  ASSERT_TRUE(ctx->Del(moved->first).ok());
+  EXPECT_EQ(node.stats().forwarded_ops - forwarded, 1u);
+  std::vector<uint8_t> out(kValue);
+  EXPECT_EQ(ctx->Get(moved->first, out.data(), kValue).code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(node.Audit().ok());
+}
+
+// --- A node stop inside IndexRepair rolls the pair back. -------------------
+// The walk is stopped after it rewrote some of the moving keys' entries and
+// before it reached the others; Shutdown's AbortPair must restore the
+// rewritten ones before it frees the copies they name. Checked from the
+// leader's last phase hook, while the node's memory is still mapped: every
+// entry names its original object, which reads the key's bytes.
+
+TEST(IndexTest, NodeStopMidIndexRepairRestoresEveryEntry) {
+  PhaseGate gate;
+  std::atomic<bool> stopping{false};
+  bool checked = false;
+  uint64_t repaired_at_stop = 0;
+  std::vector<std::string> failures;
+  std::vector<std::pair<uint64_t, GlobalAddr>> survivors;
+  std::unique_ptr<Context> reader;
+  CormNode* raw = nullptr;
+
+  CormConfig config = BaseConfig();
+  config.compaction_slice_objects = 4;  // 4 buckets per repair slice
+  const auto freeze = gate.FreezeAt(core::CompactionPhase::kIndexRepair);
+  config.compaction_phase_hook = [&](core::CompactionPhase p) {
+    freeze(p);
+    if (p != core::CompactionPhase::kIdle || !stopping.load()) return;
+    checked = true;
+    repaired_at_stop = raw->stats().index_repairs;
+    std::vector<uint8_t> out(kValue);
+    for (const auto& [k, addr] : survivors) {
+      index::IndexEntry e;
+      if (!raw->index_view()->Lookup(k, &e)) {
+        failures.push_back("key " + std::to_string(k) + " unlinked");
+        continue;
+      }
+      if (e.addr.vaddr != addr.vaddr) {
+        failures.push_back("entry of key " + std::to_string(k) +
+                           " not restored");
+      }
+      if (LockAt(raw, e.addr) != core::LockState::kFree) {
+        failures.push_back("entry of key " + std::to_string(k) +
+                           " names a locked or freed slot");
+      }
+      const Status st = reader->DirectRead(e.addr, out.data(), kValue);
+      if (!st.ok() || !workload::CheckValue(k, out.data(), kValue)) {
+        failures.push_back("key " + std::to_string(k) + " reads " +
+                           st.ToString());
+      }
+    }
+  };
+  auto node = std::make_unique<CormNode>(config);
+  raw = node.get();
+  auto ctx = Context::Create(node.get());
+  survivors = LoadFragmented(ctx.get());
+  reader = Context::Create(node.get());
+
+  // Each repair slice pauses in wall time while the node runs at a real
+  // time scale, so the stop below lands a slice or two into the walk.
+  sim::FaultInjector injector(13);
+  sim::FaultSchedule stall;
+  stall.every_nth = 1;
+  stall.delay_ns = 300'000;
+  injector.Arm(sim::fault_sites::kIndexRepairDelay, stall);
+  sim::ScopedFaultInjector install(&injector);
+
+  // Posted from this thread, so nothing but the node's own threads touches
+  // the node while it is destroyed.
+  std::vector<core::PendingCompaction> runs = node->PostCompactIfFragmented();
+  // A failed assertion below must not leave the leader frozen: open the
+  // gate before `runs` waits for the run and the node joins its workers.
+  struct OpenOnExit {
+    PhaseGate* gate;
+    ~OpenOnExit() { gate->Open(); }
+  } open_on_exit{&gate};
+  ASSERT_EQ(runs.size(), 1u);
+  gate.WaitPaused();
+  const size_t moving = MovingKeys(node.get(), survivors).size();
+  ASSERT_GT(moving, 1u);
+  const double scale = sim::SetSimTimeScale(1.0);
+  stopping.store(true);
+  gate.Open();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (node->stats().index_repairs == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  node.reset();  // stop: the leader's Shutdown aborts the pair mid-walk
+  sim::SetSimTimeScale(scale);
+  EXPECT_FALSE(core::WaitCompactions(std::move(runs)).ok());
+
+  ASSERT_TRUE(checked);
+  EXPECT_GT(repaired_at_stop, 0u);
+  EXPECT_LT(repaired_at_stop, moving) << "the walk finished before the stop";
+  for (const std::string& f : failures) ADD_FAILURE() << f;
 }
 
 // --- Epoch seal: fenced entries force the RPC re-mint. ---------------------

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "core/object_layout.h"
@@ -327,6 +329,55 @@ TEST(ReplLogTest, SchedulerHostedSweepDrainsRepairQueue) {
   rctx.StopAntiEntropy();
   EXPECT_EQ(rctx.pending_repairs(), 0u);
   EXPECT_GE(rctx.anti_entropy_repairs(), 1u);
+}
+
+// --- Idle appliers are woken by the ship (DESIGN.md §7.3) -----------------
+
+// True once every worker of node `n` is parked on its futex.
+bool WaitParked(Cluster& cluster, int n) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  core::CormNode* node = cluster.node(n);
+  for (int w = 0; w < node->config().num_workers; ++w) {
+    while (!node->rpc_queue()->parker(w)->parked()) {
+      if (std::chrono::steady_clock::now() > give_up) return false;
+      std::this_thread::yield();
+    }
+  }
+  return true;
+}
+
+TEST(ReplLogTest, ShippedRecordsWakeTheParkedApplier) {
+  ClusterConfig config = SmallCluster(3);
+  ASSERT_TRUE(config.node_config.idle_park);
+  Cluster cluster(config);
+  ReplicatedContext rctx(&cluster, 2);
+  auto addr = rctx.Alloc(64);
+  ASSERT_TRUE(addr.ok());
+  std::vector<uint8_t> in(64), out(64);
+  const uint64_t missed =
+      SumStat(cluster, &core::NodeStats::park_missed_wakeups);
+  const uint64_t applied =
+      SumStat(cluster, &core::NodeStats::repl_applied_records);
+  constexpr int kWrites = 20;
+  for (int i = 0; i < kWrites; ++i) {
+    // Idle gap: every worker parks and climbs to the ~1 ms top of its
+    // timeout ladder, so a record that did not wake its applier would wait
+    // out that timeout and count a missed wake-up. (A short timeout could
+    // expire while a woken shipper is merely descheduled between its ring
+    // write and its Wake, which the counter cannot tell from a lost wake.)
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    for (int n = 0; n < cluster.num_nodes(); ++n) {
+      ASSERT_TRUE(WaitParked(cluster, n)) << "node " << n << " write " << i;
+    }
+    PatternFill(static_cast<uint64_t>(i), in.data(), 64);
+    ASSERT_TRUE(rctx.Write(&*addr, in.data(), 64).ok()) << i;
+  }
+  ASSERT_TRUE(rctx.Read(&*addr, out.data(), 64).ok());
+  EXPECT_TRUE(PatternCheck(kWrites - 1, out.data(), 64));
+  EXPECT_GE(SumStat(cluster, &core::NodeStats::repl_applied_records) - applied,
+            static_cast<uint64_t>(kWrites));
+  EXPECT_EQ(SumStat(cluster, &core::NodeStats::park_missed_wakeups), missed);
 }
 
 // --- RPC fallback for oversized images --------------------------------------
