@@ -11,9 +11,9 @@
 #include "core/object_layout.h"
 #include "core/rpc_protocol.h"
 #include "index/index_layout.h"
+#include "index/remote_seq.h"
 #include "sim/fault_injector.h"
 #include "sim/latency_model.h"
-#include "sync/remote_seq.h"
 
 namespace corm::core {
 
@@ -23,14 +23,6 @@ int NextClientRing(int num_rings) {
   static std::atomic<uint32_t> next{0};
   return static_cast<int>(next.fetch_add(1, std::memory_order_relaxed) %
                           static_cast<uint32_t>(num_rings));
-}
-
-sync::SchemeOptions SchemeOptionsFor(const CormConfig& config,
-                                     const Context::Options& options) {
-  sync::SchemeOptions so;
-  so.lock_retry = options.recovery_retry;
-  so.lease_ns = config.sync_lease_ns;
-  return so;
 }
 }  // namespace
 
@@ -42,10 +34,7 @@ Context::Context(CormNode* node, Options options)
       ring_(NextClientRing(node->rpc_queue()->num_rings())),
       shard_(node->NextClientStatShard()),
       scratch_(node->block_bytes()),
-      batch_scratch_(kBatchChain * node->block_bytes()),
-      scheme_(sync::MakeScheme(node->config().sync_scheme, this,
-                               node->sync_table(),
-                               SchemeOptionsFor(node->config(), options))) {}
+      batch_scratch_(kBatchChain * node->block_bytes()) {}
 
 std::unique_ptr<Context> Context::Create(CormNode* node, Options options) {
   // Private constructor: make_unique cannot reach it. NOLINT(corm-raw-new)
@@ -157,18 +146,8 @@ Status Context::Read(GlobalAddr* addr, void* buf, size_t size) {
 
 Status Context::Write(GlobalAddr* addr, const void* buf, size_t size) {
   OpTimer timer(this);
-  // Bracket the RPC with the configured scheme's write lock (a no-op under
-  // kOptimistic): scheme-abiding peers serialize here, and the server-side
-  // object seqlock still guards the bytes underneath. Release targets the
-  // slot that was locked — the RPC may correct the pointer.
-  const GlobalAddr locked = *addr;
-  CORM_RETURN_NOT_OK(scheme_->AcquireWrite(locked));
-  Status st = WriteRpc(addr, buf, size);
-  Status release = scheme_->ReleaseWrite(locked);
-  return st.ok() ? release : st;
-}
-
-Status Context::WriteRpc(GlobalAddr* addr, const void* buf, size_t size) {
+  // The serving worker applies the write under the object's own lock (its
+  // header seqlock), so the client takes no lock of its own (DESIGN.md §12).
   rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
   EncodeRequest(RpcOp::kWrite,
                 WriteRequest{*addr, static_cast<uint32_t>(size)},
@@ -232,7 +211,7 @@ Status Context::SnapshotRead(const GlobalAddr& addr, void* buf, size_t size) {
 Status Context::DirectRead(const GlobalAddr& addr, void* buf, size_t size) {
   OpTimer timer(this);
   stats_.direct_reads++;
-  Status st = scheme_->GuardedRead(addr, buf, size);
+  Status st = SnapshotRead(addr, buf, size);
   if (!st.ok()) {
     stats_.direct_read_failures++;
     if (st.IsTornRead()) stats_.torn_reads++;
@@ -248,8 +227,8 @@ Status Context::DirectReadBatch(const GlobalAddr* addrs, size_t n, void* bufs,
   if (n == 0) return Status::OK();
   uint8_t* out = static_cast<uint8_t*>(bufs);
   Status first;
-  if (options_.local || !node_->config().doorbell_batching) {
-    // Nothing to amortize colocated, and the knob is the bench's A/B lever.
+  if (options_.local) {
+    // Colocated: CPU loads, no doorbell to amortize.
     for (size_t i = 0; i < n; ++i) {
       statuses[i] = DirectRead(addrs[i], out + i * size, size);
       if (!statuses[i].ok() && first.ok()) first = statuses[i];
@@ -308,118 +287,6 @@ Status Context::DirectReadBatch(const GlobalAddr* addrs, size_t n, void* bufs,
     done += k;
   }
   return first;
-}
-
-// ---------------------------------------------------------------------------
-// sync::SyncMedium: the scheme's window into this client.
-// ---------------------------------------------------------------------------
-
-Status Context::LockRead(rdma::RKey r_key, sim::VAddr vaddr, uint64_t* word) {
-  return RawRead(r_key, vaddr, word, sizeof(uint64_t));
-}
-
-Status Context::LockReadPair(rdma::RKey r_key, sim::VAddr addr_a,
-                             sim::VAddr addr_b, uint64_t* word_a,
-                             uint64_t* word_b) {
-  if (options_.local || !node_->config().doorbell_batching) {
-    CORM_RETURN_NOT_OK(RawRead(r_key, addr_a, word_a, sizeof(uint64_t)));
-    return RawRead(r_key, addr_b, word_b, sizeof(uint64_t));
-  }
-  rdma::WorkRequest wrs[2];
-  wrs[0].op = rdma::WorkRequest::Op::kRead;
-  wrs[0].r_key = r_key;
-  wrs[0].addr = addr_a;
-  wrs[0].buf = word_a;
-  wrs[0].len = sizeof(uint64_t);
-  wrs[1] = wrs[0];
-  wrs[1].addr = addr_b;
-  wrs[1].buf = word_b;
-  auto ns = qp_.PostBatch(wrs, 2);
-  if (!ns.ok() || !wrs[0].status.ok() || !wrs[1].status.ok()) {
-    if (qp_.state() == rdma::QueuePair::State::kError) {
-      stats_.qp_reconnects++;
-      qp_.Reconnect();
-    }
-    if (!ns.ok()) return ns.status();
-    return wrs[0].status.ok() ? wrs[1].status : wrs[0].status;
-  }
-  stats_.modeled_ns_total += *ns;
-  ++shard_.doorbell_batches;
-  shard_.doorbell_batched_wrs += 2;
-  return Status::OK();
-}
-
-Status Context::LockCas(rdma::RKey r_key, sim::VAddr vaddr, uint64_t expected,
-                        uint64_t desired, uint64_t* prior) {
-  if (options_.local) {
-    // Colocated: CPU CAS on the mapped word — globally coherent with
-    // remote RNIC atomics (IBV_ATOMIC_GLOB, see Rnic::MttAtomic).
-    uint8_t* p = node_->rnic()->address_space()->TranslatePtr(vaddr);
-    uint64_t e = expected;
-    std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(p))
-        .compare_exchange_strong(e, desired, std::memory_order_acq_rel);
-    *prior = e;
-    return Status::OK();
-  }
-  auto ns = qp_.CompareSwap(r_key, vaddr, expected, desired, prior);
-  if (!ns.ok()) {
-    if (ns.status().IsQpBroken()) {
-      stats_.qp_reconnects++;
-      qp_.Reconnect();
-    }
-    return ns.status();
-  }
-  stats_.modeled_ns_total += *ns;
-  return Status::OK();
-}
-
-Status Context::LockFetchAdd(rdma::RKey r_key, sim::VAddr vaddr,
-                             uint64_t addend, uint64_t* prior) {
-  if (options_.local) {
-    uint8_t* p = node_->rnic()->address_space()->TranslatePtr(vaddr);
-    *prior = std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(p))
-                 .fetch_add(addend, std::memory_order_acq_rel);
-    return Status::OK();
-  }
-  auto ns = qp_.FetchAdd(r_key, vaddr, addend, prior);
-  if (!ns.ok()) {
-    if (ns.status().IsQpBroken()) {
-      stats_.qp_reconnects++;
-      qp_.Reconnect();
-    }
-    return ns.status();
-  }
-  stats_.modeled_ns_total += *ns;
-  return Status::OK();
-}
-
-void Context::CountSyncEvent(sync::SyncEvent event) {
-  switch (event) {
-    case sync::SyncEvent::kLockAcquire:
-      stats_.sync_lock_acquires++;
-      ++shard_.sync_lock_acquires;
-      break;
-    case sync::SyncEvent::kLockConflict:
-      stats_.sync_lock_conflicts++;
-      ++shard_.sync_lock_conflicts;
-      break;
-    case sync::SyncEvent::kLockSteal:
-      stats_.sync_lock_steals++;
-      ++shard_.sync_lock_steals;
-      break;
-    case sync::SyncEvent::kLockTimeout:
-      stats_.sync_lock_timeouts++;
-      ++shard_.sync_lock_timeouts;
-      break;
-    case sync::SyncEvent::kEpochFence:
-      stats_.sync_epoch_fences++;
-      ++shard_.sync_epoch_fences;
-      break;
-  }
-}
-
-uint64_t Context::SyncJitterSeed() {
-  return node_->config().seed ^ (++retry_seq_ * 0x9e3779b97f4a7c15ULL);
 }
 
 Status Context::ScanRead(GlobalAddr* addr, void* buf, size_t size) {
@@ -534,43 +401,38 @@ Status Context::ProbeBuckets(uint64_t key, GlobalAddr* addr) {
   // Snapshot the epoch word and both candidate buckets, then re-read each
   // bucket's seq word. The chain executes in order, so an unchanged, even
   // seq across (snapshot, re-read) proves no writer touched the bucket in
-  // between — sync::SeqSnapshotConsistent, the bucket-sized twin of the
+  // between — index::SeqSnapshotConsistent, the bucket-sized twin of the
   // object seqlock validation.
   uint64_t epoch = 0;
   index::IndexBucket snap[2];
   uint64_t reseq[2] = {0, 0};
-  if (options_.local || !node_->config().doorbell_batching) {
-    CORM_RETURN_NOT_OK(RawRead(table.r_key, table.base, &epoch, sizeof(epoch)));
-    CORM_RETURN_NOT_OK(
-        RawRead(table.r_key, table.BucketAddr(b1), &snap[0], sizeof(snap[0])));
-    CORM_RETURN_NOT_OK(
-        RawRead(table.r_key, table.BucketAddr(b2), &snap[1], sizeof(snap[1])));
-    CORM_RETURN_NOT_OK(RawRead(table.r_key, table.BucketAddr(b1), &reseq[0],
-                               sizeof(uint64_t)));
-    CORM_RETURN_NOT_OK(RawRead(table.r_key, table.BucketAddr(b2), &reseq[1],
-                               sizeof(uint64_t)));
-  } else {
-    rdma::WorkRequest wrs[5];
-    for (auto& wr : wrs) {
-      wr = rdma::WorkRequest{};
-      wr.op = rdma::WorkRequest::Op::kRead;
-      wr.r_key = table.r_key;
+  rdma::WorkRequest wrs[5];
+  for (auto& wr : wrs) {
+    wr = rdma::WorkRequest{};
+    wr.op = rdma::WorkRequest::Op::kRead;
+    wr.r_key = table.r_key;
+  }
+  wrs[0].addr = table.base;
+  wrs[0].buf = &epoch;
+  wrs[0].len = sizeof(epoch);
+  wrs[1].addr = table.BucketAddr(b1);
+  wrs[1].buf = &snap[0];
+  wrs[1].len = sizeof(snap[0]);
+  wrs[2].addr = table.BucketAddr(b2);
+  wrs[2].buf = &snap[1];
+  wrs[2].len = sizeof(snap[1]);
+  wrs[3].addr = table.BucketAddr(b1);
+  wrs[3].buf = &reseq[0];
+  wrs[3].len = sizeof(uint64_t);
+  wrs[4].addr = table.BucketAddr(b2);
+  wrs[4].buf = &reseq[1];
+  wrs[4].len = sizeof(uint64_t);
+  if (options_.local) {
+    // Colocated: the same reads in the same order, as CPU loads.
+    for (const auto& wr : wrs) {
+      CORM_RETURN_NOT_OK(RawRead(wr.r_key, wr.addr, wr.buf, wr.len));
     }
-    wrs[0].addr = table.base;
-    wrs[0].buf = &epoch;
-    wrs[0].len = sizeof(epoch);
-    wrs[1].addr = table.BucketAddr(b1);
-    wrs[1].buf = &snap[0];
-    wrs[1].len = sizeof(snap[0]);
-    wrs[2].addr = table.BucketAddr(b2);
-    wrs[2].buf = &snap[1];
-    wrs[2].len = sizeof(snap[1]);
-    wrs[3].addr = table.BucketAddr(b1);
-    wrs[3].buf = &reseq[0];
-    wrs[3].len = sizeof(uint64_t);
-    wrs[4].addr = table.BucketAddr(b2);
-    wrs[4].buf = &reseq[1];
-    wrs[4].len = sizeof(uint64_t);
+  } else {
     auto ns = qp_.PostBatch(wrs, 5);
     if (!ns.ok()) {
       if (qp_.state() == rdma::QueuePair::State::kError) {
@@ -588,7 +450,7 @@ Status Context::ProbeBuckets(uint64_t key, GlobalAddr* addr) {
   }
 
   for (int i = 0; i < 2; ++i) {
-    if (!sync::SeqSnapshotConsistent(snap[i].seq, reseq[i])) {
+    if (!index::SeqSnapshotConsistent(snap[i].seq, reseq[i])) {
       return Status::TornRead("index bucket snapshot torn");
     }
   }
@@ -679,8 +541,8 @@ Result<GlobalAddr> Context::Put(uint64_t key, const void* buf, size_t size) {
   stats_.index_lookups++;
   ++shard_.index_lookups;
 
-  // Fast path: a cached pointer goes straight to the scheme-bracketed
-  // write RPC, whose server-side resolution corrects stale hints anyway.
+  // Fast path: a cached pointer goes straight to the write RPC, whose
+  // server-side resolution corrects stale hints anyway.
   auto it = hint_cache_.find(key);
   if (it != hint_cache_.end()) {
     GlobalAddr addr = it->second;
@@ -700,7 +562,7 @@ Result<GlobalAddr> Context::Put(uint64_t key, const void* buf, size_t size) {
   // One kIndexPut RPC: the worker looks the key up and, when it is fresh,
   // allocates, fills and publishes the object itself. A live key (or the
   // winner of a concurrent publish) comes back unwritten, and the value is
-  // written through it under the sync scheme like any overwrite.
+  // written through it like any overwrite.
   stats_.index_rpc_fallbacks++;
   rdma::RpcMessage* msg = rdma::RpcMessagePool::Acquire();
   EncodeRequest(RpcOp::kIndexPut,

@@ -28,7 +28,6 @@
 #include "core/rpc_protocol.h"
 #include "rdma/queue_pair.h"
 #include "rdma/rpc_transport.h"
-#include "sync/sync_scheme.h"
 
 namespace corm::core {
 
@@ -47,14 +46,8 @@ struct ClientStats {
   uint64_t timeouts = 0;          // ops that exhausted a RetryPolicy deadline
   uint64_t failovers = 0;         // moved-object fallbacks (scan / RPC read)
   uint64_t dup_completions = 0;   // injected duplicate RPC completions seen
-  // Remote-synchronization + doorbell-batching counters (DESIGN.md §12);
-  // the same events also land on the node's sync_* / doorbell_* shard
-  // counters for cluster-wide aggregation.
-  uint64_t sync_lock_acquires = 0;
-  uint64_t sync_lock_conflicts = 0;
-  uint64_t sync_lock_steals = 0;
-  uint64_t sync_lock_timeouts = 0;
-  uint64_t sync_epoch_fences = 0;
+  // Doorbell batching (DESIGN.md §12); each chain also lands on the node's
+  // doorbell_* shard counters for cluster-wide aggregation.
   uint64_t direct_read_batches = 0;  // chained multi-slot posts issued
   // Keyed access layer (DESIGN.md §13); the same events also land on the
   // node's index_* shard counters for cluster-wide aggregation.
@@ -68,12 +61,7 @@ struct ClientStats {
   uint64_t last_op_ns = 0;  // modeled duration of the last public API call
 };
 
-// The client context doubles as the sync::SyncMedium its scheme runs
-// through: lock words are touched with one-sided verbs on the context's QP
-// (CPU atomics when colocated — coherent with RNIC atomics, see
-// Rnic::MttAtomic), object snapshots go through the validated DirectRead
-// core, and scheme events land on both ClientStats and the node's shards.
-class Context : public sync::SyncMedium {
+class Context {
  public:
   struct Options {
     // Colocated client: accesses go through CPU loads (the local half of
@@ -107,11 +95,8 @@ class Context : public sync::SyncMedium {
   // completion per chain instead of n round trips. `bufs` is a contiguous
   // array of n payload buffers with stride `size`; per-object outcomes land
   // in `statuses[i]` (the same vocabulary as DirectRead). Returns the first
-  // per-object failure (OK when all succeeded). Batched reads always use
-  // optimistic validation — a single READ WR is the only scheme whose guard
-  // chains — so lock schemes apply to DirectRead, not to batches. Falls
-  // back to sequential DirectReads when colocated or when
-  // config.doorbell_batching is off (the bench A/B lever).
+  // per-object failure (OK when all succeeded). A colocated context has no
+  // doorbell to amortize and runs sequential DirectReads instead.
   Status DirectReadBatch(const GlobalAddr* addrs, size_t n, void* bufs,
                          size_t size, Status* statuses);
 
@@ -154,21 +139,6 @@ class Context : public sync::SyncMedium {
   // The RPC ring (= serving worker) this client's non-ownership-bound ops
   // target.
   int home_ring() const { return ring_; }
-  sync::SchemeKind sync_scheme() const { return scheme_->kind(); }
-
-  // --- sync::SyncMedium (the scheme's window into this client). ----------
-  Status LockRead(rdma::RKey r_key, sim::VAddr vaddr, uint64_t* word) override;
-  Status LockReadPair(rdma::RKey r_key, sim::VAddr addr_a, sim::VAddr addr_b,
-                      uint64_t* word_a, uint64_t* word_b) override;
-  Status LockCas(rdma::RKey r_key, sim::VAddr vaddr, uint64_t expected,
-                 uint64_t desired, uint64_t* prior) override;
-  Status LockFetchAdd(rdma::RKey r_key, sim::VAddr vaddr, uint64_t addend,
-                      uint64_t* prior) override;
-  // The validated snapshot read every scheme guards: RawRead + header/
-  // version validation, no retry and no stats (DirectRead layers those).
-  Status SnapshotRead(const GlobalAddr& addr, void* buf, size_t size) override;
-  void CountSyncEvent(sync::SyncEvent event) override;
-  uint64_t SyncJitterSeed() override;
 
  private:
   class OpTimer;  // modeled-latency scope guard (client.cc)
@@ -182,9 +152,9 @@ class Context : public sync::SyncMedium {
   // One-sided read of `len` bytes at `vaddr` (network or local).
   Status RawRead(rdma::RKey r_key, sim::VAddr vaddr, void* buf, size_t len);
 
-  // The RPC half of Write(); the public Write brackets it with the sync
-  // scheme's AcquireWrite/ReleaseWrite.
-  Status WriteRpc(GlobalAddr* addr, const void* buf, size_t size);
+  // The validated snapshot read under DirectRead: RawRead + header/version
+  // validation, no retry and no stats (DirectRead layers those).
+  Status SnapshotRead(const GlobalAddr& addr, void* buf, size_t size);
 
   // Validates a slot snapshot against `addr`; extracts payload on success.
   Status ValidateAndExtract(const uint8_t* slot, uint32_t slot_size,
@@ -229,8 +199,8 @@ class Context : public sync::SyncMedium {
   // (idle workers' rings stay empty and those workers park; contexts are
   // striped across rings round-robin so concurrent clients spread out).
   const int ring_;
-  // This client's node stat shard, where its index_*, sync_* and doorbell_*
-  // events land (CormNode::NextClientStatShard).
+  // This client's node stat shard, where its index_* and doorbell_* events
+  // land (CormNode::NextClientStatShard).
   NodeStatShard& shard_;
   ClientStats stats_;
   std::vector<uint8_t> scratch_;  // block-sized scan buffer
@@ -243,10 +213,6 @@ class Context : public sync::SyncMedium {
   // failed validation drops the entry and re-resolves through the bucket
   // probe / RPC fallback chain.
   std::unordered_map<uint64_t, GlobalAddr> hint_cache_;
-  // The configured synchronization scheme (config.sync_scheme), driving
-  // DirectRead guards and Write brackets through this context as medium.
-  // Declared last: it captures `this`.
-  std::unique_ptr<sync::RemoteSyncScheme> scheme_;
 };
 
 }  // namespace corm::core

@@ -44,24 +44,6 @@ CormNode::CormNode(CormConfig config)
       space_.get(), files_.get(), rnic_.get(), &classes_, ba_config);
   rpc_queue_.rate_limiter()->SetRate(config_.nic_msg_rate);
 
-  // Sync-lock table (DESIGN.md §12): epoch word + one lock word per slot,
-  // mapped fresh (all-zero: epoch 0, every slot free) and registered ODP
-  // like a repl ring so remote CAS/FETCH_ADD verbs reach it.
-  const size_t table_bytes = (1 + size_t{kSyncLockSlots}) * sizeof(uint64_t);
-  sync_table_pages_ = (table_bytes + sim::kVPageSize - 1) / sim::kVPageSize;
-  // Virtual ranges are reserved at block granularity (see BlockBaseOf in
-  // core/addr.h): round the table up so the blocks reserved after it stay
-  // block_bytes-aligned.
-  sync_table_pages_ =
-      (sync_table_pages_ + config_.block_pages - 1) / config_.block_pages *
-      config_.block_pages;
-  sync_table_base_ = space_->ReserveRange(sync_table_pages_);
-  CORM_CHECK(space_->MapFresh(sync_table_base_, sync_table_pages_).ok());
-  auto sync_keys =
-      rnic_->RegisterMemory(sync_table_base_, sync_table_pages_, /*odp=*/true);
-  CORM_CHECK(sync_keys.ok());
-  sync_table_keys_ = *sync_keys;
-
   // Keyed index table (DESIGN.md §13): 64-byte header (word 0 = index fence
   // epoch) + 4-way seqlocked buckets, mapped fresh (all-zero: epoch 0,
   // every entry kEmpty) and registered ODP so clients can snapshot buckets
@@ -70,14 +52,16 @@ CormNode::CormNode(CormConfig config)
       static_cast<uint32_t>(std::max<size_t>(config_.index_buckets, 1));
   const size_t index_bytes = index::TableBytes(index_buckets_);
   index_table_pages_ = (index_bytes + sim::kVPageSize - 1) / sim::kVPageSize;
+  // Virtual ranges are reserved at block granularity (see BlockBaseOf in
+  // core/addr.h): round the table up so the blocks reserved after it stay
+  // block_bytes-aligned.
   index_table_pages_ =
       (index_table_pages_ + config_.block_pages - 1) / config_.block_pages *
       config_.block_pages;
   index_table_base_ = space_->ReserveRange(index_table_pages_);
   // Contiguous: the server-side IndexTable view walks the bucket array
   // through one TranslatePtr(base) pointer, so the backing pages must be
-  // one linear slab (unlike the sync table, which is only ever touched a
-  // word at a time).
+  // one linear slab.
   CORM_CHECK(
       space_->MapFreshContiguous(index_table_base_, index_table_pages_).ok());
   auto index_keys = rnic_->RegisterMemory(index_table_base_,
@@ -113,34 +97,14 @@ CormNode::~CormNode() {
   rpc_queue_.WakeAll();  // parked workers notice stop_ now, not at timeout
   for (auto& t : threads_) t.join();
   threads_.clear();
-  // Sync-lock table teardown (after every thread that could touch it has
+  // Index table teardown (after every thread that could touch it has
   // joined; rnic_ and space_ are still alive here).
-  if (sync_table_base_ != 0) {
-    rnic_->DeregisterMemory(sync_table_keys_.r_key).ok();
-    space_->Unmap(sync_table_base_, sync_table_pages_).ok();
-    space_->ReleaseRange(sync_table_base_, sync_table_pages_);
-  }
   if (index_table_base_ != 0) {
     index_view_.reset();
     rnic_->DeregisterMemory(index_table_keys_.r_key).ok();
     space_->Unmap(index_table_base_, index_table_pages_).ok();
     space_->ReleaseRange(index_table_base_, index_table_pages_);
   }
-}
-
-uint64_t CormNode::SyncEpoch() const {
-  const uint8_t* p = space_->TranslatePtr(sync_table_base_);
-  return std::atomic_ref<const uint64_t>(
-             *reinterpret_cast<const uint64_t*>(p))
-      .load(std::memory_order_acquire);
-}
-
-void CormNode::SealSyncEpoch() {
-  // Local CPU atomic on the registered word: coherent with remote RNIC
-  // atomics (IBV_ATOMIC_GLOB semantics, see Rnic::MttAtomic).
-  uint8_t* p = space_->TranslatePtr(sync_table_base_);
-  std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(p))
-      .fetch_add(1, std::memory_order_acq_rel);
 }
 
 uint64_t CormNode::IndexEpoch() const { return index_view_->Epoch(); }
@@ -592,11 +556,10 @@ std::string CormNode::DebugReport() {
 }
 
 uint64_t CormNode::ActiveMemoryBytes() const {
-  // The always-mapped sync-lock and index tables are fixed infrastructure,
-  // not object memory: exclude them so placement and the Fig. 17 memory
-  // curves keep measuring data, and an empty node still reports zero.
-  return (phys_->live_frames() - sync_table_pages_ - index_table_pages_) *
-         sim::kFrameSize;
+  // The always-mapped index table is fixed infrastructure, not object
+  // memory: exclude it so placement and the Fig. 17 memory curves keep
+  // measuring data, and an empty node still reports zero.
+  return (phys_->live_frames() - index_table_pages_) * sim::kFrameSize;
 }
 
 uint64_t CormNode::VirtualMemoryBytes() const {

@@ -41,7 +41,6 @@
 #include "sim/latency_model.h"
 #include "sim/mem_file.h"
 #include "sim/physical_memory.h"
-#include "sync/sync_scheme.h"
 
 namespace corm::core {
 
@@ -129,19 +128,6 @@ struct CormConfig {
   // otherwise taxes every RPC round trip.
   bool idle_park = true;
 
-  // --- Remote synchronization & doorbell batching (DESIGN.md §12). -------
-  // Client read/write synchronization scheme (the §12 shootout knob):
-  // optimistic versioned reads, an RDMA-CAS spinlock, or the lease/epoch
-  // reader-writer lock. Snapshot validation stays on in every scheme.
-  sync::SchemeKind sync_scheme = sync::SchemeKind::kOptimistic;
-  // How long a waiter watches an unchanged held lock word before stealing
-  // it (crashed-holder recovery, fault site sync.holder_crash).
-  uint64_t sync_lease_ns = 2'000'000;
-  // Client contexts coalesce multi-slot reads (and the replication layer
-  // its quorum ack polls) into chained posts: one doorbell + one
-  // completion per chain.
-  bool doorbell_batching = true;
-
   // --- Keyed index (DESIGN.md §13). --------------------------------------
   // Buckets in this node's registered index table (4-way buckets, two
   // candidate buckets per key). The hard ceiling is 4×buckets keys, but
@@ -214,15 +200,10 @@ struct CormConfig {
   X(repl_fenced_records)       /* stale-epoch records rejected */            \
   X(repl_apply_dups)           /* duplicate/old-version records */           \
   X(repl_apply_orphans)        /* object gone or image does not fit */       \
-  /* Remote-synchronization + doorbell-batching instrumentation */           \
-  /* (DESIGN.md §12). Incremented from the client threads driving */         \
-  /* contexts against this node, so they land on client shards (the */       \
-  /* overflow shard when a ReplicatedContext posts the chain). */            \
-  X(sync_lock_acquires)   /* locks (or read admissions) obtained */          \
-  X(sync_lock_conflicts)  /* attempts that saw a competing holder */         \
-  X(sync_lock_steals)     /* leases expired and slots stolen */              \
-  X(sync_lock_timeouts)   /* acquire retry budgets exhausted */              \
-  X(sync_epoch_fences)    /* stale-epoch lock words fenced */                \
+  /* Doorbell-batching instrumentation (DESIGN.md §12). Incremented */       \
+  /* from the client threads driving contexts against this node, so */       \
+  /* they land on client shards (the overflow shard when a */                \
+  /* ReplicatedContext posts the chain). */                                  \
   X(doorbell_batches)     /* chained posts (one doorbell each) */            \
   X(doorbell_batched_wrs) /* WRs those chains carried */                     \
   /* Keyed-index instrumentation (DESIGN.md §13). Lookup-side counters */    \
@@ -475,32 +456,10 @@ class CormNode {
                               i);
   }
 
-  // --- Sync-lock table (DESIGN.md §12). ----------------------------------
-  // Lock words in the table (objects hash to slots; collisions are safe,
-  // just extra contention).
-  static constexpr uint32_t kSyncLockSlots = 1024;
-  // Remote-access coordinates of this node's sync-lock table: word 0 is
-  // the sync epoch, words 1..kSyncLockSlots are lock words hashed by
-  // object address. Registered (ODP) at construction, like a repl ring.
-  sync::LockTableCoords sync_table() const {
-    sync::LockTableCoords coords;
-    coords.base = sync_table_base_;
-    coords.r_key = sync_table_keys_.r_key;
-    coords.slots = kSyncLockSlots;
-    return coords;
-  }
-  // Current sync epoch (word 0 of the table).
-  uint64_t SyncEpoch() const;
-  // Bumps the sync epoch. Invoked whenever a failover seal record is
-  // applied (worker.cc), so lease_rw lock words minted before the seal are
-  // fenced by their next acquirer — the PR-7 epoch machinery extended to
-  // lock state. Public for tests.
-  void SealSyncEpoch();
-
   // --- Keyed index table (DESIGN.md §13). --------------------------------
   // Remote-access coordinates of this node's index bucket table: word 0 is
   // the index fence epoch, buckets follow the 64-byte header. Registered
-  // (ODP) at construction like the sync-lock table.
+  // (ODP) at construction, like a repl ring.
   index::IndexTableCoords index_table() const {
     index::IndexTableCoords coords;
     coords.base = index_table_base_;
@@ -621,14 +580,9 @@ class CormNode {
   std::vector<std::unique_ptr<rdma::ReplLogRing>> repl_ingress_;
   std::atomic<size_t> repl_ingress_count_{0};
 
-  // Sync-lock table backing state (mapped + registered in the constructor,
-  // torn down explicitly in ~CormNode after the threads join — it needs
-  // rnic_ and space_ alive).
-  sim::VAddr sync_table_base_ = 0;
-  size_t sync_table_pages_ = 0;
-  rdma::MrKeys sync_table_keys_;
-
-  // Keyed index table backing state (same lifecycle as the sync table).
+  // Keyed index table backing state (mapped + registered in the
+  // constructor, torn down explicitly in ~CormNode after the threads join —
+  // it needs rnic_ and space_ alive).
   sim::VAddr index_table_base_ = 0;
   size_t index_table_pages_ = 0;
   rdma::MrKeys index_table_keys_;

@@ -26,8 +26,8 @@ enum class RpcOp : uint8_t {
   // fallback behind the one-sided bucket probe. Put and Del are whole keyed
   // mutations, each one RPC run to completion by the serving worker: Put
   // allocates, fills and publishes a fresh key's object (a live key is
-  // handed back for the client's scheme-bracketed write), Del unlinks and
-  // frees on the block's owner.
+  // handed back for the client's kWrite), Del unlinks and frees on the
+  // block's owner.
   kIndexLookup = 6,
   kIndexPut = 7,
   kIndexDel = 8,
@@ -100,7 +100,7 @@ struct IndexPutResponse {
   // and published it; `addr` is its owner-hint-stamped pointer.
   // existed == 1: the key was already live (or won a concurrent publish);
   // nothing was written and `addr` names the live object, which the client
-  // writes through under its sync scheme.
+  // writes through with kWrite.
   GlobalAddr addr;
   uint8_t existed;
 };

@@ -800,10 +800,6 @@ bool Worker::ApplyReplRecord(const rdma::ReplRecordHeader& hdr,
         std::memcpy(repl_seal_scratch_.data(), &stored, sizeof(stored));
         img = repl_seal_scratch_.data();
         img_len = full;
-        // The seal also fences lock state (DESIGN.md §12): bump the node's
-        // sync epoch so lease_rw lock words minted before the failover are
-        // reset by their next acquirer, exactly like stale-epoch records.
-        node_->SealSyncEpoch();
       } else {
         ++stats_.repl_apply_dups;  // already sealed to this epoch or newer
       }
@@ -1072,9 +1068,8 @@ void Worker::HandleIndexPut(rdma::RpcMessage* rpc) {
   }
   value = Slice(value.data(), req.size);
 
-  // A live key is the client's to overwrite: its write runs bracketed by
-  // the configured sync scheme (cas/lease lock words are client-side), so
-  // the worker only hands back the pointer.
+  // A live key is the client's to overwrite through the ordinary kWrite
+  // RPC, so the worker only hands back the pointer.
   IndexPutResponse resp;
   resp.existed = 1;
   Status st = LookupCanonical(req.key, &resp.addr);

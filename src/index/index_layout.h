@@ -31,8 +31,7 @@
 
 namespace corm::index {
 
-// SplitMix64 finalizer: full-avalanche key hash (same mixer the sync-lock
-// table uses for slot hashing).
+// SplitMix64 finalizer: full-avalanche key hash.
 inline constexpr uint64_t MixKey(uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -83,9 +82,8 @@ static_assert(std::is_trivially_copyable_v<IndexBucket>,
               "IndexBucket crosses the wire via memcpy");
 
 // Table geometry. Word 0 of the registered region is the index fence epoch
-// (bumped by SealIndexEpoch on failover re-home, exactly like the
-// sync-table epoch); buckets start after a 64-byte header so they never
-// share a cache line with the epoch word.
+// (bumped by SealIndexEpoch on failover re-home); buckets start after a
+// 64-byte header so they never share a cache line with the epoch word.
 inline constexpr size_t kTableHeaderBytes = 64;
 
 inline constexpr size_t TableBytes(uint32_t buckets) {
@@ -105,9 +103,9 @@ inline constexpr uint64_t AltBucketOf(uint64_t key, uint32_t buckets) {
   return MixKey(key ^ 0xc2b2ae3d27d4eb4fULL) % buckets;
 }
 
-// Remote coordinates of a node's index table (the keyed analogue of
-// sync::LockTableCoords). Lives in registered memory; `base` is the table
-// header, bucket i starts at base + kTableHeaderBytes + i * sizeof(bucket).
+// Remote coordinates of a node's index table. Lives in registered memory;
+// `base` is the table header, bucket i starts at
+// base + kTableHeaderBytes + i * sizeof(bucket).
 struct IndexTableCoords {
   sim::VAddr base = 0;
   rdma::RKey r_key = 0;

@@ -1,6 +1,6 @@
 // Node-side operations on the registered index bucket table (DESIGN.md
 // §13). The table memory itself is owned by CormNode (mapped fresh and
-// registered for one-sided access like the sync-lock table); IndexTable is
+// registered for one-sided access like a repl ingress ring); IndexTable is
 // a view that implements the seqlocked mutation protocol over it.
 //
 // Writers (RPC workers serving kIndexPut/Del/Lookup-repair, and the
@@ -10,8 +10,8 @@
 // acquisition still runs under a Deadline (src/index/ is in corm-tidy's
 // rule-8 strict-wait set: no unbounded wait, ever). One-sided readers never
 // touch the seq word remotely; they snapshot the bucket and validate with
-// sync::SeqSnapshotConsistent against the seq embedded in the snapshot
-// itself plus the chained re-read.
+// SeqSnapshotConsistent (index/remote_seq.h) against the seq embedded in
+// the snapshot itself plus the chained re-read.
 
 #ifndef CORM_INDEX_INDEX_TABLE_H_
 #define CORM_INDEX_INDEX_TABLE_H_

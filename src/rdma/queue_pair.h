@@ -72,8 +72,8 @@ class QueuePair {
   Result<uint64_t> Write(RKey r_key, sim::VAddr addr, const void* data,
                          size_t len);
 
-  // One-sided masked atomics on a remote 8-byte word (the synchronization
-  // verbs of DESIGN.md §12). `*old_value` receives the prior contents; a
+  // One-sided atomics on a remote 8-byte word (IB verbs' CMP_SWAP and
+  // FETCH_ADD). `*old_value` receives the prior contents; a
   // CAS succeeded iff *old_value == compare. Charged as a single-WR post
   // (doorbell + wire + RMW + completion) and paced.
   Result<uint64_t> CompareSwap(RKey r_key, sim::VAddr addr, uint64_t compare,

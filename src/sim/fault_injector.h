@@ -49,12 +49,6 @@ inline constexpr const char* kCompactionCollectStall =
 inline constexpr const char* kReplShipDrop = "repl.ship_drop";
 inline constexpr const char* kReplAckDelay = "repl.ack_delay";
 inline constexpr const char* kReplSealRace = "repl.seal_race";
-// Remote-synchronization site (DESIGN.md §12): a lock holder that crashes
-// after its write but before releasing the sync-table lock word. The
-// release is swallowed, so waiters must recover via lease expiry (CAS
-// spinlock: generation-bumping steal; lease/epoch RW lock: lease steal or
-// an epoch fence) instead of spinning on a dead owner forever.
-inline constexpr const char* kSyncHolderCrash = "sync.holder_crash";
 // Forces a keyed lookup to treat its one-sided bucket snapshot as stale,
 // driving the kIndexLookup RPC fallback path (DESIGN.md §13): the client
 // discards the snapshot exactly as if validation had failed.

@@ -13,6 +13,7 @@
 #include "core/client.h"
 #include "core/corm_node.h"
 #include "core/object_layout.h"
+#include "sim/fault_injector.h"
 
 namespace corm::core {
 namespace {
@@ -73,6 +74,80 @@ TEST(ConcurrencyTest, DirectReadsNeverObserveTornSnapshots) {
 
 // Readers churn while the node compacts repeatedly: every read result must
 // be either a clean failure (locked/moved -> recovered) or intact data.
+// Writers rewrite each object's fixed pattern while readers DirectRead,
+// with torn publishes injected (fault site write.torn: the worker publishes
+// half the payload under the object lock and lingers before the rest).
+// Every successful read must hand back the object's pattern, and the only
+// failures allowed are transient ones. Each object keeps one pattern, so
+// this checks the validation path under lock contention; the torn-snapshot
+// check is DirectReadsNeverObserveTornSnapshots above.
+TEST(ConcurrencyTest, NoTornReadEscapesInjectedTornWrites) {
+  CormNode node(Config());
+  constexpr size_t kObjects = 8;
+  constexpr int kIters = 40;
+  auto setup = Context::Create(&node);
+  std::vector<GlobalAddr> addrs(kObjects);
+  for (size_t i = 0; i < kObjects; ++i) {
+    auto addr = setup->Alloc(192);
+    ASSERT_TRUE(addr.ok());
+    std::vector<uint8_t> in(192);
+    PatternFill(static_cast<int>(i), in.data(), in.size());
+    ASSERT_TRUE(setup->Write(&*addr, in.data(), in.size()).ok());
+    addrs[i] = *addr;
+  }
+
+  sim::FaultInjector inj(4242);
+  sim::FaultSchedule torn;
+  torn.probability = 0.05;
+  torn.delay_ns = 3000;  // extra lock-hold time per torn publish
+  inj.Arm(sim::fault_sites::kTornWrite, torn);
+  sim::ScopedFaultInjector scoped(&inj);
+
+  auto transient = [](const Status& st) {
+    return st.IsTimeout() || st.IsNetworkError() || st.IsObjectLocked() ||
+           st.IsTornRead() || st.IsQpBroken() || st.IsObjectMoved();
+  };
+  std::atomic<int> torn_escapes{0};
+  std::atomic<int> hard_errors{0};
+  auto writer = [&] {
+    auto ctx = Context::Create(&node);
+    std::vector<uint8_t> in(192);
+    for (int it = 0; it < kIters; ++it) {
+      const size_t i = static_cast<size_t>(it) % kObjects;
+      PatternFill(static_cast<int>(i), in.data(), in.size());
+      GlobalAddr addr = addrs[i];
+      Status st = ctx->Write(&addr, in.data(), in.size());
+      if (!st.ok() && !transient(st)) hard_errors.fetch_add(1);
+    }
+  };
+  auto reader = [&] {
+    auto ctx = Context::Create(&node);
+    std::vector<uint8_t> out(192);
+    for (int it = 0; it < kIters; ++it) {
+      const size_t i = static_cast<size_t>(it * 3 + 1) % kObjects;
+      Status st = ctx->DirectRead(addrs[i], out.data(), out.size());
+      if (st.ok()) {
+        if (!PatternCheck(static_cast<int>(i), out.data(), out.size())) {
+          torn_escapes.fetch_add(1);
+        }
+      } else if (!transient(st)) {
+        hard_errors.fetch_add(1);
+      }
+    }
+  };
+
+  std::vector<std::thread> threads;
+  threads.emplace_back(writer);
+  threads.emplace_back(writer);
+  threads.emplace_back(reader);
+  threads.emplace_back(reader);
+  for (auto& t : threads) t.join();
+
+  EXPECT_GT(inj.FiredCount(sim::fault_sites::kTornWrite), 0u);
+  EXPECT_EQ(torn_escapes.load(), 0);
+  EXPECT_EQ(hard_errors.load(), 0);
+}
+
 TEST(ConcurrencyTest, ReadsStayConsistentDuringCompaction) {
   CormNode node(Config());
   auto ctx = Context::Create(&node);

@@ -152,6 +152,49 @@ TEST(DsmTest, DeadNodeOperationsFailWithNetworkError) {
 
 // --- Replication ------------------------------------------------------------
 
+// DirectReadBatch splits a mixed batch into per-node runs; a dead node
+// fails its own entries with kNetworkError and the live node's complete.
+TEST(DsmBatchTest, BatchRoutesPerNodeRunsAndIsolatesDeadNodes) {
+  ClusterConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.node_config.num_workers = 1;
+  Cluster cluster(cfg);
+  DsmContext ctx(&cluster);
+
+  constexpr size_t kObjects = 8;
+  std::vector<GlobalAddr> addrs;
+  for (size_t i = 0; i < kObjects; ++i) {
+    auto addr = ctx.AllocOn(static_cast<int>(i % 2), 64);
+    ASSERT_TRUE(addr.ok());
+    std::vector<uint8_t> in(64);
+    PatternFill(static_cast<int>(i), in.data(), in.size());
+    ASSERT_TRUE(ctx.Write(&*addr, in.data(), in.size()).ok());
+    addrs.push_back(*addr);
+  }
+
+  std::vector<uint8_t> bufs(kObjects * 64);
+  std::vector<Status> statuses(kObjects);
+  ASSERT_TRUE(ctx.DirectReadBatch(addrs.data(), kObjects, bufs.data(), 64,
+                                  statuses.data())
+                  .ok());
+  for (size_t i = 0; i < kObjects; ++i) {
+    EXPECT_TRUE(statuses[i].ok()) << i;
+    EXPECT_TRUE(PatternCheck(static_cast<int>(i), bufs.data() + i * 64, 64));
+  }
+
+  cluster.KillNode(1);
+  Status st = ctx.DirectReadBatch(addrs.data(), kObjects, bufs.data(), 64,
+                                  statuses.data());
+  EXPECT_FALSE(st.ok());
+  for (size_t i = 0; i < kObjects; ++i) {
+    if (i % 2 == 0) {
+      EXPECT_TRUE(statuses[i].ok()) << i;
+    } else {
+      EXPECT_EQ(statuses[i].code(), StatusCode::kNetworkError) << i;
+    }
+  }
+}
+
 TEST(ReplicationTest, ReplicasLandOnDistinctNodes) {
   Cluster cluster(SmallCluster(3));
   ReplicatedContext rctx(&cluster, 3);

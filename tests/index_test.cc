@@ -154,7 +154,7 @@ TEST(IndexTest, PutWaitsOutAWriteLockHeldPastTheServerSpin) {
 // --- One RPC per keyed write. ----------------------------------------------
 // The serving worker runs a fresh Put's alloc-fill-publish and a Del's
 // unlink-free itself; only an overwrite through an uncached pointer takes a
-// second RPC (the scheme-bracketed write).
+// second RPC, the kWrite.
 
 // Bytes held by live objects of `class_idx`, summed over the workers.
 uint64_t UsedBytes(CormNode* node, uint32_t class_idx) {
@@ -336,6 +336,19 @@ TEST(IndexTest, FreshClientResolvesKeysOneSided) {
   const core::NodeStats stats = node.stats();
   EXPECT_GE(stats.index_lookups, 2 * kKeys);
   EXPECT_GE(stats.index_one_sided_hits, 2 * kKeys);
+
+  // A colocated client probes the same buckets with CPU loads: the same
+  // one-sided resolution, and no chained post.
+  Context::Options colocated;
+  colocated.local = true;
+  auto local = Context::Create(&node, colocated);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(local->Get(k, out.data(), kValue).ok()) << k;
+    EXPECT_TRUE(workload::CheckValue(k, out.data(), kValue)) << k;
+  }
+  EXPECT_EQ(local->stats().index_one_sided_hits, kKeys);
+  EXPECT_EQ(local->stats().index_rpc_fallbacks, 0u);
+  EXPECT_EQ(node.stats().doorbell_batches, stats.doorbell_batches);
 }
 
 // --- Fault site index.stale_hint: the RPC fallback stays correct. ----------

@@ -403,6 +403,64 @@ TEST_F(NodeTest, LocalContextReads) {
   EXPECT_EQ(out, data);
 }
 
+// DirectReadBatch posts up to kBatchChain (16) reads behind one doorbell,
+// so 20 objects take two chains. A colocated context has no doorbell to
+// amortize and reads the same batch one object at a time. Either way a
+// dangling pointer fails validation for its own entry only (the slot memory
+// is still registered, so a chain stays intact).
+TEST_F(NodeTest, DirectReadBatchCoalescesAndValidates) {
+  constexpr size_t kObjects = 20;
+  std::vector<GlobalAddr> addrs;
+  for (size_t i = 0; i < kObjects; ++i) {
+    auto addr = ctx_->Alloc(64);
+    ASSERT_TRUE(addr.ok());
+    std::vector<uint8_t> in(64);
+    PatternFill(static_cast<int>(i), in.data(), in.size());
+    ASSERT_TRUE(ctx_->Write(&*addr, in.data(), in.size()).ok());
+    addrs.push_back(*addr);
+  }
+  Context::Options colocated;
+  colocated.local = true;
+  auto lctx = Context::Create(&node_, colocated);
+
+  std::vector<uint8_t> bufs(kObjects * 64);
+  std::vector<Status> statuses(kObjects);
+  for (Context* ctx : {ctx_.get(), lctx.get()}) {
+    std::fill(bufs.begin(), bufs.end(), 0);
+    ASSERT_TRUE(ctx->DirectReadBatch(addrs.data(), kObjects, bufs.data(), 64,
+                                     statuses.data())
+                    .ok());
+    for (size_t i = 0; i < kObjects; ++i) {
+      EXPECT_TRUE(statuses[i].ok()) << i << ": " << statuses[i].ToString();
+      EXPECT_TRUE(PatternCheck(static_cast<int>(i), bufs.data() + i * 64, 64))
+          << i;
+    }
+  }
+  EXPECT_EQ(ctx_->stats().direct_read_batches, 2u);
+  EXPECT_EQ(lctx->stats().direct_read_batches, 0u);
+  EXPECT_EQ(lctx->stats().direct_reads, kObjects);
+  const uint64_t chains = node_.stats().doorbell_batches;
+  EXPECT_EQ(chains, 2u);
+  EXPECT_EQ(node_.stats().doorbell_batched_wrs, kObjects);
+
+  const GlobalAddr freed = addrs[3];
+  ASSERT_TRUE(ctx_->Free(&addrs[3]).ok());
+  addrs[3] = freed;
+  for (Context* ctx : {ctx_.get(), lctx.get()}) {
+    Status st = ctx->DirectReadBatch(addrs.data(), kObjects, bufs.data(), 64,
+                                     statuses.data());
+    EXPECT_FALSE(st.ok());
+    EXPECT_FALSE(statuses[3].ok());
+    for (size_t i = 0; i < kObjects; ++i) {
+      if (i == 3) continue;
+      EXPECT_TRUE(statuses[i].ok()) << i << ": " << statuses[i].ToString();
+      EXPECT_TRUE(PatternCheck(static_cast<int>(i), bufs.data() + i * 64, 64))
+          << i;
+    }
+  }
+  EXPECT_EQ(node_.stats().doorbell_batches, chains + 2);  // remote only
+}
+
 TEST_F(NodeTest, ScanReadFindsObjectWithWrongHint) {
   auto addr = ctx_->Alloc(64);
   ASSERT_TRUE(addr.ok());

@@ -274,9 +274,8 @@ void CheckUnboundedWait(const SourceFile& f, DiagSink* sink) {
         sink->diags->push_back(
             {f.path(), line, 1, kCheckUnboundedWait,
              "spin-wait NOLINT marker inside a strict-wait file "
-             "(compaction_engine.cc, log_shipper.cc, replication.cc, "
-             "src/sync/); rule 8 grants no escape here — remove the wait "
-             "instead"});
+             "(compaction_engine.cc, log_shipper.cc, replication.cc); "
+             "rule 8 grants no escape here — remove the wait instead"});
       }
     }
   }
@@ -340,15 +339,10 @@ bool IsStrictWaitPath(const std::string& path) {
   // replicated write behind it, and a blocked applier stalls a whole
   // ingress ring — both must convert dead peers into kTimeout via
   // Deadline, never wait unboundedly. Strict mode overrides the src/rdma/
-  // wait exemption for log_shipper.cc. The sync schemes (src/sync/) joined
-  // the set with the remote-lock shootout: a CAS spinlock waiting on a
-  // crashed holder is exactly the hang rule 8 exists to ban — every spin
-  // must run under a RetryPolicy budget and a lease Deadline.
+  // wait exemption for log_shipper.cc.
   return path.find("compaction_engine.cc") != std::string::npos ||
          path.find("log_shipper.cc") != std::string::npos ||
-         path.find("replication.cc") != std::string::npos ||
-         path.find("src/sync/") != std::string::npos ||
-         path.find("cas_lock.cc") != std::string::npos;
+         path.find("replication.cc") != std::string::npos;
 }
 
 bool IsThreadAnnotationsPath(const std::string& path) {

@@ -11,8 +11,8 @@
 #   6. Every analysis escape carries a written rationale
 #      (corm-escape-rationale).
 #   7. No heap allocation in `// corm-hotpath` files (corm-hotpath-alloc).
-#   8. The strict-wait files (compaction_engine.cc, the replicated-log ship
-#      path, src/sync/) carry no unbounded waits and honor no NOLINT
+#   8. The strict-wait files (compaction_engine.cc and the replicated-log
+#      ship path) carry no unbounded waits and honor no NOLINT
 #      (corm-unbounded-wait, strict mode).
 # `corm-tidy --list-checks` prints the full catalog.
 #
