@@ -5,13 +5,14 @@
 // clang's analysis cannot see acquisitions made through them — every access
 // under a std::lock_guard would be a false positive. This header provides:
 //
-//   * corm::Mutex / corm::SharedMutex — thin CAPABILITY-annotated wrappers
-//     over the std primitives, for substrate state (src/sim/, src/rdma/)
-//     that models kernel/NIC internals and does not participate in the
-//     CoRM lock-rank hierarchy (rank kSubstrate, always a leaf).
+//   * corm::Mutex / corm::SharedMutex / corm::CountedMutex — thin
+//     CAPABILITY-annotated wrappers over the std primitives, for substrate
+//     state (src/sim/, src/rdma/) that models kernel/NIC internals and
+//     does not participate in the CoRM lock-rank hierarchy (rank
+//     kSubstrate, always a leaf).
 //   * LockGuard<M> / SharedLockGuard<M> — SCOPED_CAPABILITY guards usable
 //     with any annotated Lockable (SpinLock, RankedSpinLock,
-//     RankedSharedMutex, Mutex, SharedMutex).
+//     RankedSharedMutex, Mutex, SharedMutex, CountedMutex).
 //
 // The data plane (src/alloc/, src/core/) keeps using the ranked locks from
 // common/lock_rank.h (enforced by lint.sh rule 2); these guards work for
@@ -20,6 +21,8 @@
 #ifndef CORM_COMMON_MUTEX_H_
 #define CORM_COMMON_MUTEX_H_
 
+#include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <shared_mutex>
 
@@ -40,6 +43,30 @@ class CAPABILITY("mutex") Mutex {
 
  private:
   std::mutex mu_;
+};
+
+// Mutex that counts its acquisitions, for substrate state whose readers
+// promise to take no lock: a test snapshots acquisitions(), runs the
+// lock-free path, and checks the count did not move.
+class CAPABILITY("mutex") CountedMutex {
+ public:
+  CountedMutex() = default;
+  CountedMutex(const CountedMutex&) = delete;
+  CountedMutex& operator=(const CountedMutex&) = delete;
+
+  void lock() ACQUIRE() {
+    mu_.lock();
+    acquires_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void unlock() RELEASE() { mu_.unlock(); }
+
+  uint64_t acquisitions() const {
+    return acquires_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::mutex mu_;
+  std::atomic<uint64_t> acquires_{0};
 };
 
 // Reader/writer mutex for substrate state outside the lock-rank hierarchy.

@@ -499,10 +499,19 @@ Status Context::Get(uint64_t key, void* buf, size_t size) {
     force_rpc = true;
   }
 
+  // One hash lookup per Get: nothing below inserts into the cache before
+  // the end, so the key's hint is updated or dropped through `it`.
+  auto it = hint_cache_.find(key);
+  const auto remember = [&](const GlobalAddr& hint) {
+    if (it != hint_cache_.end()) {
+      it->second = hint;
+    } else {
+      hint_cache_[key] = hint;
+    }
+  };
   GlobalAddr addr;
   if (!force_rpc) {
     // 1. Cached hint: the steady state is this single validated read.
-    auto it = hint_cache_.find(key);
     if (it != hint_cache_.end()) {
       Status st = DirectRead(it->second, buf, size);
       if (st.ok()) {
@@ -510,7 +519,6 @@ Status Context::Get(uint64_t key, void* buf, size_t size) {
         ++shard_.index_one_sided_hits;
         return st;
       }
-      hint_cache_.erase(it);
     }
     // 2. One-sided bucket probe, then the validated read on its hint.
     Status st = ProbeBuckets(key, &addr);
@@ -519,19 +527,21 @@ Status Context::Get(uint64_t key, void* buf, size_t size) {
       if (st.ok()) {
         stats_.index_one_sided_hits++;
         ++shard_.index_one_sided_hits;
-        hint_cache_[key] = addr;
+        remember(addr);
         return st;
       }
     }
   }
   // 3. Authoritative RPC lookup (self-heals the bucket entry server-side),
   // then a recovering read that rides out compaction locks and moves.
-  CORM_RETURN_NOT_OK(IndexLookupRpc(key, &addr));
-  Status st = ReadWithRecovery(&addr, buf, size, MovedFallback::kRpcRead);
+  Status st = IndexLookupRpc(key, &addr);
   if (st.ok()) {
-    hint_cache_[key] = addr;
-  } else {
-    hint_cache_.erase(key);
+    st = ReadWithRecovery(&addr, buf, size, MovedFallback::kRpcRead);
+  }
+  if (st.ok()) {
+    remember(addr);
+  } else if (it != hint_cache_.end()) {
+    hint_cache_.erase(it);
   }
   return st;
 }
@@ -550,10 +560,10 @@ Result<GlobalAddr> Context::Put(uint64_t key, const void* buf, size_t size) {
     if (st.ok()) {
       stats_.index_one_sided_hits++;
       ++shard_.index_one_sided_hits;
-      hint_cache_[key] = addr;
+      it->second = addr;
       return addr;
     }
-    hint_cache_.erase(key);
+    hint_cache_.erase(it);
     if (!st.IsStalePointer() && !st.IsObjectMoved() && !st.IsNotFound()) {
       return st;
     }

@@ -69,12 +69,14 @@ int Worker::AffinityCpus() {
 void Worker::Run() {
   node_->BindWorkerThread(id_);
   const bool idle_park = node_->config().idle_park;
-  const uint64_t spin_ns = IdleSpinBudgetNs(AffinityCpus());
+  const int cpus = AffinityCpus();
+  const uint64_t spin_ns = IdleSpinBudgetNs(cpus);
+  const uint32_t pause_polls = PausePolls(cpus, node_->num_workers());
   rdma::RpcMessage* batch[kPollBatch];
   // Consecutive dry polls and parks; reset by any work. The worker parks
-  // once the dry spell has outlasted both kIdleYields polls and its spin
-  // budget, armed at the spell's first dry poll; each park of the spell
-  // doubles the timeout.
+  // once the dry spell has outlasted its pause polls, then kIdleYields
+  // polls, and its spin budget, armed at the spell's first dry poll; each
+  // park of the spell doubles the timeout.
   uint32_t idle = 0;
   uint32_t parks = 0;
   Deadline spin(0);
@@ -127,21 +129,25 @@ void Worker::Run() {
       idle = parks = 0;
       continue;
     }
-    // Idle. Keep polling (a yield lets the threads we might be blocking
-    // run) until the spin budget has passed since the last piece of work: a
-    // request arriving within it costs no futex wake-up. Then park on the
-    // futex until a producer wakes us (a request pushed onto our ring, a
-    // message sent to our inbox, a record shipped into an ingress ring we
-    // drain). The budget is armed once per dry spell, so a timed-out park
-    // parks again at once: an idle node spins for at most one budget. The
-    // timeout escalates from 2 us to ~1 ms; it is a backstop, since every
-    // source of work wakes us. On an
-    // oversubscribed host parking removes idle workers from the scheduler
+    // Idle. The first pause_polls dry polls only PAUSE: a request that
+    // lands within ~1.5 us costs no sched_yield. Then keep polling (a yield
+    // lets the threads we might be blocking run) until the spin budget has
+    // passed since the last piece of work: a request arriving within it
+    // costs no futex wake-up. Then park on the futex until a producer
+    // wakes us (a request pushed onto our ring, a message sent to our
+    // inbox, a record shipped into an ingress ring we drain). The budget is
+    // armed once per dry spell, so a timed-out park parks again at once: an
+    // idle node spins for at most one budget. The timeout escalates from
+    // 2 us to ~1 ms; it is a backstop, since every source of work wakes us.
+    // On an oversubscribed host parking removes idle workers from the scheduler
     // rotation that every RPC round trip must traverse — the single biggest
     // hot-path cost on a few-core machine. With idle_park off the worker
     // never parks, so it arms no budget and reads no clock.
     if (++idle == 1 && idle_park) spin = Deadline(spin_ns);
-    if (!idle_park || idle <= kIdleYields || !spin.Expired()) {
+    if (idle <= pause_polls) {
+      CpuPause();
+    } else if (!idle_park || idle <= pause_polls + kIdleYields ||
+               !spin.Expired()) {
       CpuRelax();
     } else {
       parks = std::min(parks + 1, 10u);
@@ -355,6 +361,7 @@ Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size, Slice value,
     where->block = block;
     where->slot = slot;
     where->base = block->base();
+    where->ptr = ptr;
   }
   return addr;
 }
@@ -493,11 +500,12 @@ Result<Worker::Resolved> Worker::ResolveObject(const GlobalAddr& addr) {
   const uint32_t hint_slot =
       static_cast<uint32_t>(offset / r.block->slot_size());
   if (hint_slot < r.block->num_slots()) {
-    const uint8_t* ptr = SlotPtr(base, r.block, hint_slot);
+    uint8_t* ptr = SlotPtr(base, r.block, hint_slot);
     if (ptr != nullptr) {
       const ObjectHeader h = ObjectHeader::Unpack(LoadHeaderWord(ptr));
       if (h.obj_id == addr.obj_id && h.lock != LockState::kTombstone) {
         r.slot = hint_slot;
+        r.ptr = ptr;
         return r;
       }
     }
@@ -511,6 +519,7 @@ Result<Worker::Resolved> Worker::ResolveObject(const GlobalAddr& addr) {
   CORM_RETURN_NOT_OK(slot.status());
   r.slot = *slot;
   r.corrected = true;
+  r.ptr = SlotPtr(base, r.block, r.slot);
   return r;
 }
 
@@ -551,7 +560,7 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
     Complete(rpc, Status::InvalidArgument("read larger than object payload"));
     return;
   }
-  uint8_t* ptr = SlotPtr(resolved->base, block, resolved->slot);
+  uint8_t* ptr = resolved->ptr;
 
   ReadResponse resp;
   resp.addr = CorrectedAddr(req.addr, *resolved, block->slot_size());
@@ -621,7 +630,7 @@ bool Worker::TryWrite(rdma::RpcMessage* rpc, const WriteRequest& req,
     Complete(rpc, Status::InvalidArgument("write larger than object payload"));
     return true;
   }
-  uint8_t* ptr = SlotPtr(resolved->base, block, resolved->slot);
+  uint8_t* ptr = resolved->ptr;
 
   // Acquire the object lock (bounded spin over transient writer locks).
   uint64_t w = LoadHeaderWord(ptr);
@@ -754,7 +763,7 @@ bool Worker::ApplyReplRecord(const rdma::ReplRecordHeader& hdr,
     ++stats_.repl_apply_orphans;  // image cannot fit this object
     return true;
   }
-  uint8_t* ptr = SlotPtr(resolved->base, block, resolved->slot);
+  uint8_t* ptr = resolved->ptr;
 
   // Acquire the object seqlock — HandleWrite's discipline, but with a short
   // contention bound: a locked or kCompacting object defers the record (it
@@ -859,7 +868,7 @@ void Worker::ReleaseGhost(const GhostToRelease& ghost) {
 }
 
 Status Worker::LockForFree(const Resolved& r, ObjectHeader* pre) {
-  uint8_t* ptr = SlotPtr(r.base, r.block, r.slot);
+  uint8_t* ptr = r.ptr;
   uint64_t w = LoadHeaderWord(ptr);
   for (int attempt = 0;; ++attempt) {
     const ObjectHeader h = ObjectHeader::Unpack(w);
@@ -889,7 +898,7 @@ void Worker::FreeLocked(const Resolved& r, const ObjectHeader& pre) {
   alloc::Block* block = r.block;
   ObjectHeader dead = pre;
   dead.lock = LockState::kTombstone;
-  StoreHeaderWord(SlotPtr(r.base, block, r.slot), dead.Pack());
+  StoreHeaderWord(r.ptr, dead.Pack());
   if (ClassCompactable(block->class_idx())) block->EraseId(pre.obj_id);
   const bool empty = allocator_.Free(block, r.slot);
   auto ghost = node_->vaddr_tracker_.OnFree(HomeVaddrOf(pre.home_page));
@@ -965,7 +974,7 @@ void Worker::HandleReleasePtr(rdma::RpcMessage* rpc) {
     return;
   }
   alloc::Block* block = resolved->block;
-  uint8_t* ptr = SlotPtr(resolved->base, block, resolved->slot);
+  uint8_t* ptr = resolved->ptr;
 
   uint64_t w = LoadHeaderWord(ptr);
   for (int attempt = 0;; ++attempt) {

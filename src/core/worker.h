@@ -146,6 +146,19 @@ class Worker {
   static constexpr uint64_t IdleSpinBudgetNs(int cpus) {
     return cpus > 1 ? kIdleSpinNs : 0;
   }
+  // Dry polls an idle worker spends on PAUSE alone before it starts
+  // yielding (DESIGN.md §7.3): ~1.5 us on a 4-vCPU Xeon, so a request that
+  // lands within it costs no sched_yield. Do not lengthen it: at 1,024
+  // polls (~24 us) spinning workers starved the threads they waited on in
+  // an oversubscribed test run.
+  static constexpr uint32_t kPausePolls = 64;
+  // The pause phase of a node with `workers` workers whose affinity mask
+  // holds `cpus` CPUs: 0 unless a CPU is left over for the clients, since a
+  // worker that does not yield keeps a client off the CPU it shares (and
+  // on one CPU, off the only CPU, like the spin budget).
+  static constexpr uint32_t PausePolls(int cpus, int workers) {
+    return cpus > workers ? kPausePolls : 0;
+  }
   // CPUs in the calling thread's affinity mask (the host's CPU count if the
   // mask cannot be read). Threads inherit the mask of their creator.
   static int AffinityCpus();
@@ -157,6 +170,9 @@ class Worker {
     sim::VAddr base = 0;      // block base the client's pointer references
     bool corrected = false;   // hint was stale; slot found via ID
     bool old_block = false;   // pointer references a ghost base (§3.3)
+    // The slot's bytes through `base`, translated once by the resolve; the
+    // handler that resolved uses it for the rest of the operation.
+    uint8_t* ptr = nullptr;
   };
 
  private:

@@ -26,7 +26,10 @@ Result<ReplLogRing> ReplLogRing::Create(sim::AddressSpace* space, Rnic* rnic,
     space->ReleaseRange(base, npages);
     return keys.status();
   }
-  return ReplLogRing(space, rnic, base, npages, *keys, slots, slot_bytes);
+  uint8_t* control = space->TranslatePtr(base);
+  CORM_CHECK(control != nullptr);
+  return ReplLogRing(space, rnic, base, npages, *keys, slots, slot_bytes,
+                     reinterpret_cast<std::atomic<uint64_t>*>(control));
 }
 
 ReplLogRing::~ReplLogRing() {
@@ -37,14 +40,8 @@ ReplLogRing::~ReplLogRing() {
   space_ = nullptr;
 }
 
-std::atomic<uint64_t>* ReplLogRing::AppliedWord() const {
-  uint8_t* p = space_->TranslatePtr(base_);
-  CORM_CHECK(p != nullptr);
-  return reinterpret_cast<std::atomic<uint64_t>*>(p);
-}
-
 uint64_t ReplLogRing::applied() const {
-  return AppliedWord()->load(std::memory_order_acquire);
+  return applied_->load(std::memory_order_acquire);
 }
 
 bool ReplLogRing::NextRecord(ReplRecordHeader* hdr, Buffer* payload) {
@@ -85,7 +82,7 @@ void ReplLogRing::Advance() {
   // shipper may still be retransmitting the (now applied) record.
   const uint32_t zero = 0;
   RacyCopy(slot, &zero, sizeof(zero));
-  AppliedWord()->store(next, std::memory_order_release);
+  applied_->store(next, std::memory_order_release);
 }
 
 }  // namespace corm::rdma

@@ -46,6 +46,7 @@ class ReplLogRing {
       keys_ = other.keys_;
       slots_ = other.slots_;
       slot_bytes_ = other.slot_bytes_;
+      applied_ = other.applied_;
       other.space_ = nullptr;
     }
     return *this;
@@ -82,20 +83,21 @@ class ReplLogRing {
 
  private:
   ReplLogRing(sim::AddressSpace* space, Rnic* rnic, sim::VAddr base,
-              size_t npages, MrKeys keys, uint32_t slots, uint32_t slot_bytes)
+              size_t npages, MrKeys keys, uint32_t slots, uint32_t slot_bytes,
+              std::atomic<uint64_t>* applied)
       : space_(space),
         rnic_(rnic),
         base_(base),
         npages_(npages),
         keys_(keys),
         slots_(slots),
-        slot_bytes_(slot_bytes) {}
+        slot_bytes_(slot_bytes),
+        applied_(applied) {}
 
   sim::VAddr SlotAddr(uint64_t seq) const {
     return base_ + sim::kVPageSize +
            ((seq - 1) % slots_) * static_cast<uint64_t>(slot_bytes_);
   }
-  std::atomic<uint64_t>* AppliedWord() const;
 
   sim::AddressSpace* space_ = nullptr;
   Rnic* rnic_ = nullptr;
@@ -104,6 +106,9 @@ class ReplLogRing {
   MrKeys keys_;
   uint32_t slots_ = 0;
   uint32_t slot_bytes_ = 0;
+  // The applied_seq word on the control page, translated once by Create:
+  // the page stays mapped to its frame for the ring's lifetime.
+  std::atomic<uint64_t>* applied_ = nullptr;
 };
 
 }  // namespace corm::rdma

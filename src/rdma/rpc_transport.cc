@@ -242,7 +242,9 @@ Status RpcClient::CallPooled(RpcMessage** inout_msg, int ring_hint,
   // wall-clock deadline at a coarse stride to keep the hot path cheap.
   // Deliberately CpuRelax (pause + yield), not the sleep ladder: on an
   // oversubscribed host the serving worker needs this core, and a sleeping
-  // client would add 50 us to every RPC.
+  // client would add 50 us to every RPC. Even a 64-poll PAUSE-only prefix
+  // starved workers under `ctest -j4`: 15 ms RPC deadlines expired in
+  // IndexTest.ConcurrentPutsOfOneFreshKey* in 5 of 12 runs.
   bool completed = false;
   for (uint32_t spins = 0;; ++spins) {
     if (msg->done.load(std::memory_order_acquire)) {

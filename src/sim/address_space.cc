@@ -8,17 +8,57 @@
 
 namespace corm::sim {
 
+AddressSpace::AddressSpace(PhysicalMemory* phys)
+    : phys_(phys),
+      root_(std::make_unique<std::atomic<Leaf*>[]>(kRootSlots)) {}
+
 AddressSpace::~AddressSpace() {
   // Drop page-table references so PhysicalMemory accounting stays balanced
   // when address spaces are torn down in tests.
-  for (const auto& [page, entry] : page_table_) {
-    phys_->Unref(entry.frame);
+  LockGuard<CountedMutex> lock(mu_);
+  for (const auto& leaf : leaves_) {
+    for (const PageEntry& e : leaf->entries) {
+      if (e.data.load(std::memory_order_relaxed) != nullptr) {
+        phys_->Unref(e.frame);
+      }
+    }
   }
+}
+
+AddressSpace::PageEntry* AddressSpace::FindEntry(VAddr addr) const {
+  if (addr < kBase) return nullptr;
+  const uint64_t index = (addr - kBase) >> kVPageShift;
+  if (index >= kSpanPages) return nullptr;
+  Leaf* leaf = root_[index / kLeafPages].load(std::memory_order_acquire);
+  return leaf == nullptr ? nullptr : &leaf->entries[index % kLeafPages];
+}
+
+AddressSpace::PageEntry* AddressSpace::EntryForMap(VAddr page) {
+  CORM_CHECK(page >= kBase && ((page - kBase) >> kVPageShift) < kSpanPages)
+      << "map outside the page table's span at " << page;
+  const uint64_t index = (page - kBase) >> kVPageShift;
+  std::atomic<Leaf*>& slot = root_[index / kLeafPages];
+  Leaf* leaf = slot.load(std::memory_order_relaxed);
+  if (leaf == nullptr) {
+    leaves_.push_back(std::make_unique<Leaf>());
+    leaf = leaves_.back().get();
+    slot.store(leaf, std::memory_order_release);  // zeroed leaf, then root
+  }
+  return &leaf->entries[index % kLeafPages];
+}
+
+void AddressSpace::Install(VAddr page, FrameId frame, uint8_t* data) {
+  PageEntry* e = EntryForMap(page);
+  CORM_CHECK(e->data.load(std::memory_order_relaxed) == nullptr)
+      << "map over an existing mapping at " << page;
+  e->frame = frame;
+  e->data.store(data, std::memory_order_release);
+  ++mapped_pages_;
 }
 
 VAddr AddressSpace::ReserveRange(size_t npages) {
   CORM_CHECK_GT(npages, 0u);
-  LockGuard<Mutex> lock(mu_);
+  LockGuard<CountedMutex> lock(mu_);
   reserved_pages_ += npages;
   auto it = free_ranges_.find(npages);
   if (it != free_ranges_.end()) {
@@ -27,13 +67,15 @@ VAddr AddressSpace::ReserveRange(size_t npages) {
     return base;
   }
   VAddr base = next_vaddr_;
+  CORM_CHECK_LE(((base - kBase) >> kVPageShift) + npages, kSpanPages)
+      << "ReserveRange past the page table's span";
   next_vaddr_ += npages * kVPageSize;
   return base;
 }
 
 void AddressSpace::ReleaseRange(VAddr base, size_t npages) {
   CORM_CHECK_EQ(PageOffset(base), 0u);
-  LockGuard<Mutex> lock(mu_);
+  LockGuard<CountedMutex> lock(mu_);
   CORM_CHECK_GE(reserved_pages_, npages);
   reserved_pages_ -= npages;
   free_ranges_.emplace(npages, base);
@@ -54,13 +96,10 @@ Status AddressSpace::MapFresh(VAddr base, size_t npages) {
     }
     frames.push_back(*frame);
   }
-  LockGuard<Mutex> lock(mu_);
+  LockGuard<CountedMutex> lock(mu_);
   for (size_t i = 0; i < npages; ++i) {
-    VAddr page = base + i * kVPageSize;
-    CORM_CHECK(page_table_.find(page) == page_table_.end())
-        << "MapFresh over an existing mapping at " << page;
     // AllocFrame's ref becomes the PT ref.
-    page_table_[page] = {frames[i], phys_->FrameData(frames[i])};
+    Install(base + i * kVPageSize, frames[i], phys_->FrameData(frames[i]));
   }
   return Status::OK();
 }
@@ -72,13 +111,11 @@ Status AddressSpace::MapFreshContiguous(VAddr base, size_t npages) {
   }
   auto frames = phys_->AllocContiguousFrames(npages);
   if (!frames.ok()) return frames.status();
-  LockGuard<Mutex> lock(mu_);
+  LockGuard<CountedMutex> lock(mu_);
   for (size_t i = 0; i < npages; ++i) {
-    VAddr page = base + i * kVPageSize;
-    CORM_CHECK(page_table_.find(page) == page_table_.end())
-        << "MapFreshContiguous over an existing mapping at " << page;
     // The alloc ref becomes the PT ref.
-    page_table_[page] = {(*frames)[i], phys_->FrameData((*frames)[i])};
+    Install(base + i * kVPageSize, (*frames)[i],
+            phys_->FrameData((*frames)[i]));
   }
   return Status::OK();
 }
@@ -87,12 +124,9 @@ Status AddressSpace::MapFrames(VAddr base, const std::vector<FrameId>& frames) {
   if (PageOffset(base) != 0) {
     return Status::InvalidArgument("MapFrames: base not page aligned");
   }
-  LockGuard<Mutex> lock(mu_);
+  LockGuard<CountedMutex> lock(mu_);
   for (size_t i = 0; i < frames.size(); ++i) {
-    VAddr page = base + i * kVPageSize;
-    CORM_CHECK(page_table_.find(page) == page_table_.end())
-        << "MapFrames over an existing mapping";
-    page_table_[page] = {frames[i], phys_->Ref(frames[i])};
+    Install(base + i * kVPageSize, frames[i], phys_->Ref(frames[i]));
   }
   return Status::OK();
 }
@@ -101,25 +135,30 @@ Status AddressSpace::Remap(VAddr base, VAddr target, size_t npages) {
   if (PageOffset(base) != 0 || PageOffset(target) != 0) {
     return Status::InvalidArgument("Remap: addresses not page aligned");
   }
+  const auto mapped = [this](VAddr page) {
+    const PageEntry* e = FindEntry(page);
+    return e != nullptr && e->data.load(std::memory_order_relaxed) != nullptr;
+  };
   std::vector<VAddr> changed;
   {
-    LockGuard<Mutex> lock(mu_);
+    LockGuard<CountedMutex> lock(mu_);
     // Validate both ranges first so the operation is all-or-nothing.
     for (size_t i = 0; i < npages; ++i) {
-      if (page_table_.find(base + i * kVPageSize) == page_table_.end() ||
-          page_table_.find(target + i * kVPageSize) == page_table_.end()) {
+      if (!mapped(base + i * kVPageSize) || !mapped(target + i * kVPageSize)) {
         return Status::InvalidArgument("Remap: unmapped page in range");
       }
     }
     for (size_t i = 0; i < npages; ++i) {
       VAddr src_page = base + i * kVPageSize;
-      VAddr dst_page = target + i * kVPageSize;
-      PageEntry& src = page_table_[src_page];
-      const FrameId new_frame = page_table_[dst_page].frame;
-      if (src.frame == new_frame) continue;
+      PageEntry* src = FindEntry(src_page);
+      const FrameId new_frame = FindEntry(target + i * kVPageSize)->frame;
+      if (src->frame == new_frame) continue;
+      const FrameId old_frame = src->frame;
       uint8_t* data = phys_->Ref(new_frame);  // PT ref for the new mapping
-      phys_->Unref(src.frame);                // old PT ref dropped
-      src = {new_frame, data};
+      src->frame = new_frame;
+      // Publish the new translation before the old frame loses its pin.
+      src->data.store(data, std::memory_order_release);
+      phys_->Unref(old_frame);  // old PT ref dropped
       changed.push_back(src_page);
     }
   }
@@ -133,15 +172,18 @@ Status AddressSpace::Unmap(VAddr base, size_t npages) {
   }
   std::vector<VAddr> changed;
   {
-    LockGuard<Mutex> lock(mu_);
+    LockGuard<CountedMutex> lock(mu_);
     for (size_t i = 0; i < npages; ++i) {
       VAddr page = base + i * kVPageSize;
-      auto it = page_table_.find(page);
-      if (it == page_table_.end()) {
+      PageEntry* e = FindEntry(page);
+      if (e == nullptr || e->data.load(std::memory_order_relaxed) == nullptr) {
         return Status::InvalidArgument("Unmap: page not mapped");
       }
-      phys_->Unref(it->second.frame);
-      page_table_.erase(it);
+      // Unpublish before the frame loses the page table's pin.
+      e->data.store(nullptr, std::memory_order_release);
+      phys_->Unref(e->frame);
+      e->frame = kInvalidFrame;
+      --mapped_pages_;
       changed.push_back(page);
     }
   }
@@ -150,23 +192,21 @@ Status AddressSpace::Unmap(VAddr base, size_t npages) {
 }
 
 Result<FrameId> AddressSpace::TranslatePage(VAddr addr) const {
-  LockGuard<Mutex> lock(mu_);
-  auto it = page_table_.find(PageBase(addr));
-  if (it == page_table_.end()) {
+  LockGuard<CountedMutex> lock(mu_);
+  const PageEntry* e = FindEntry(addr);
+  if (e == nullptr || e->data.load(std::memory_order_relaxed) == nullptr) {
     return Status::NotFound("page not mapped");
   }
-  return it->second.frame;
+  return e->frame;
 }
 
 uint8_t* AddressSpace::TranslatePtr(VAddr addr) const {
-  // The entry's data pointer is read under the page-table lock, and the
-  // entry pins its frame until Remap/Unmap drops that pin under the same
-  // lock, so the frame is live when the pointer is returned. No frame-pool
-  // lock is taken.
-  LockGuard<Mutex> lock(mu_);
-  auto it = page_table_.find(PageBase(addr));
-  if (it == page_table_.end()) return nullptr;
-  return it->second.data + PageOffset(addr);
+  // Lock-free walk; see the safety argument in address_space.h. No
+  // frame-pool lock is taken either: the entry carries the frame's bytes.
+  const PageEntry* e = FindEntry(addr);
+  if (e == nullptr) return nullptr;
+  uint8_t* data = e->data.load(std::memory_order_acquire);
+  return data == nullptr ? nullptr : data + PageOffset(addr);
 }
 
 Status AddressSpace::ReadVirtual(VAddr addr, void* out, size_t size) const {
@@ -202,12 +242,12 @@ Status AddressSpace::WriteVirtual(VAddr addr, const void* data, size_t size) {
 }
 
 void AddressSpace::AddNotifier(MmuNotifier* notifier) {
-  LockGuard<Mutex> lock(mu_);
+  LockGuard<CountedMutex> lock(mu_);
   notifiers_.push_back(notifier);
 }
 
 void AddressSpace::RemoveNotifier(MmuNotifier* notifier) {
-  LockGuard<Mutex> lock(mu_);
+  LockGuard<CountedMutex> lock(mu_);
   notifiers_.erase(std::remove(notifiers_.begin(), notifiers_.end(), notifier),
                    notifiers_.end());
 }
@@ -215,19 +255,19 @@ void AddressSpace::RemoveNotifier(MmuNotifier* notifier) {
 void AddressSpace::NotifyChange(VAddr page) {
   std::vector<MmuNotifier*> snapshot;
   {
-    LockGuard<Mutex> lock(mu_);
+    LockGuard<CountedMutex> lock(mu_);
     snapshot = notifiers_;
   }
   for (MmuNotifier* n : snapshot) n->OnMappingChange(page);
 }
 
 size_t AddressSpace::mapped_pages() const {
-  LockGuard<Mutex> lock(mu_);
-  return page_table_.size();
+  LockGuard<CountedMutex> lock(mu_);
+  return mapped_pages_;
 }
 
 size_t AddressSpace::reserved_pages() const {
-  LockGuard<Mutex> lock(mu_);
+  LockGuard<CountedMutex> lock(mu_);
   return reserved_pages_;
 }
 

@@ -279,6 +279,9 @@ void BusyWait(std::chrono::nanoseconds gap) {
 }
 
 TEST(NodeWakeupTest, SpinBudgetIsZeroOnOneCpu) {
+  EXPECT_EQ(Worker::PausePolls(1, 1), 0u);
+  EXPECT_EQ(Worker::PausePolls(4, 4), 0u);
+  EXPECT_EQ(Worker::PausePolls(4, 2), Worker::kPausePolls);
   EXPECT_EQ(Worker::IdleSpinBudgetNs(1), 0u);
   EXPECT_EQ(Worker::IdleSpinBudgetNs(4), Worker::kIdleSpinNs);
   EXPECT_GT(Worker::kIdleSpinNs, 0u);

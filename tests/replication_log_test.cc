@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/client.h"
 #include "core/object_layout.h"
 #include "dsm/cluster.h"
 #include "dsm/dsm_context.h"
@@ -378,6 +379,61 @@ TEST(ReplLogTest, ShippedRecordsWakeTheParkedApplier) {
   EXPECT_GE(SumStat(cluster, &core::NodeStats::repl_applied_records) - applied,
             static_cast<uint64_t>(kWrites));
   EXPECT_EQ(SumStat(cluster, &core::NodeStats::park_missed_wakeups), missed);
+}
+
+// --- The serving path takes no page-table lock --------------------------------
+
+// Every translation a worker makes while it serves — RPC Read and Write,
+// keyed Get and Put, replicated-log applies — walks the page table without
+// its lock (DESIGN.md §7.6). After a warm-up round (fresh keys and objects
+// map blocks, ODP entries fault in) a storm of those operations must leave
+// every node's page-table lock count where it was.
+TEST(ZeroLockTest, ServingPathTakesNoPageTableLock) {
+  Cluster cluster(SmallCluster(3));
+  ReplicatedContext rctx(&cluster, 2);
+  auto raddr = rctx.Alloc(64);
+  ASSERT_TRUE(raddr.ok());
+  auto ctx = core::Context::Create(cluster.node(0));
+  auto addr = ctx->Alloc(64);
+  ASSERT_TRUE(addr.ok());
+
+  constexpr uint64_t kKeys = 16;
+  std::vector<uint8_t> in(64), out(64);
+  const auto round = [&](uint64_t i) {
+    PatternFill(i, in.data(), 64);
+    ASSERT_TRUE(ctx->Write(&*addr, in.data(), 64).ok()) << i;
+    ASSERT_TRUE(ctx->Read(&*addr, out.data(), 64).ok()) << i;
+    ASSERT_EQ(in, out) << i;
+    ASSERT_TRUE(ctx->Put(i % kKeys, in.data(), 64).ok()) << i;
+    ASSERT_TRUE(ctx->Get(i % kKeys, out.data(), 64).ok()) << i;
+    ASSERT_EQ(in, out) << i;
+    ASSERT_TRUE(rctx.Write(&*raddr, in.data(), 64).ok()) << i;
+    ASSERT_TRUE(rctx.Read(&*raddr, out.data(), 64).ok()) << i;
+    ASSERT_EQ(in, out) << i;
+  };
+  for (uint64_t i = 0; i < kKeys; ++i) round(i);
+
+  const auto locks = [&] {
+    std::vector<uint64_t> n;
+    for (int i = 0; i < cluster.num_nodes(); ++i) {
+      n.push_back(cluster.node(i)
+                      ->rnic()
+                      ->address_space()
+                      ->lock_acquires_for_testing());
+    }
+    return n;
+  };
+  const uint64_t applied =
+      SumStat(cluster, &core::NodeStats::repl_applied_records);
+  const uint64_t rpc_writes = SumStat(cluster, &core::NodeStats::rpc_writes);
+  const std::vector<uint64_t> before = locks();
+  for (uint64_t i = kKeys; i < 20 * kKeys; ++i) round(i);
+  EXPECT_EQ(locks(), before);
+  // The storm did reach the paths it claims to cover.
+  EXPECT_GE(SumStat(cluster, &core::NodeStats::repl_applied_records) - applied,
+            19 * kKeys);
+  EXPECT_GE(SumStat(cluster, &core::NodeStats::rpc_writes) - rpc_writes,
+            2 * 19 * kKeys);
 }
 
 // --- RPC fallback for oversized images --------------------------------------

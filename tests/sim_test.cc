@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "sim/address_space.h"
 #include "sim/latency_model.h"
@@ -152,6 +155,128 @@ TEST_F(AddressSpaceTest, TranslateUnmappedFails) {
   EXPECT_FALSE(space_.TranslatePage(0x1234).ok());
   char c;
   EXPECT_TRUE(space_.ReadVirtual(0x1234, &c, 1).IsNotFound());
+}
+
+TEST_F(AddressSpaceTest, TranslateOutsideTheSpanFails) {
+  const VAddr end = AddressSpace::kBase + AddressSpace::kSpanPages * kVPageSize;
+  EXPECT_EQ(space_.TranslatePtr(AddressSpace::kBase - 1), nullptr);
+  EXPECT_EQ(space_.TranslatePtr(end), nullptr);
+  EXPECT_EQ(space_.TranslatePtr(~VAddr{0}), nullptr);
+  EXPECT_FALSE(space_.TranslatePage(end).ok());
+  // Reserved but never mapped: its leaf may exist, its entry is empty.
+  const VAddr a = space_.ReserveRange(2);
+  ASSERT_TRUE(space_.MapFresh(a, 1).ok());
+  EXPECT_NE(space_.TranslatePtr(a), nullptr);
+  EXPECT_EQ(space_.TranslatePtr(a + kVPageSize), nullptr);
+}
+
+TEST_F(AddressSpaceTest, MapsAcrossLeavesAndUnmapsToNothing) {
+  // A range that straddles two radix leaves.
+  const VAddr first = space_.ReserveRange(AddressSpace::kLeafPages - 1);
+  const VAddr a = space_.ReserveRange(2);
+  EXPECT_EQ(a, first + (AddressSpace::kLeafPages - 1) * kVPageSize);
+  ASSERT_TRUE(space_.MapFresh(a, 2).ok());
+  const uint32_t marker = 0x1eaf1eaf;
+  ASSERT_TRUE(
+      space_.WriteVirtual(a + kVPageSize - 2, &marker, sizeof(marker)).ok());
+  uint32_t out = 0;
+  ASSERT_TRUE(
+      space_.ReadVirtual(a + kVPageSize - 2, &out, sizeof(out)).ok());
+  EXPECT_EQ(out, marker);
+  EXPECT_EQ(space_.mapped_pages(), 2u);
+  ASSERT_TRUE(space_.Unmap(a, 2).ok());
+  EXPECT_EQ(space_.mapped_pages(), 0u);
+  EXPECT_EQ(space_.TranslatePtr(a), nullptr);
+  EXPECT_EQ(space_.TranslatePtr(a + kVPageSize), nullptr);
+  EXPECT_EQ(phys_.live_frames(), 0u);
+}
+
+// The MMU path takes no lock: translation, reads and writes leave the
+// page-table lock's acquisition count where it was. Writers still take it,
+// which shows the counter is live.
+TEST_F(AddressSpaceTest, TranslationTakesNoLock) {
+  const VAddr a = space_.ReserveRange(2);
+  ASSERT_TRUE(space_.MapFresh(a, 2).ok());
+  const uint64_t locks = space_.lock_acquires_for_testing();
+  uint64_t word = 0;
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_NE(space_.TranslatePtr(a + i), nullptr);
+    ASSERT_EQ(space_.TranslatePtr(a + 2 * kVPageSize + i), nullptr);
+    ASSERT_TRUE(space_.WriteVirtual(a + kVPageSize - 4, &i, sizeof(i)).ok());
+    ASSERT_TRUE(space_.ReadVirtual(a + kVPageSize - 4, &word, sizeof(word)).ok());
+    ASSERT_EQ(word, i);
+  }
+  EXPECT_EQ(space_.lock_acquires_for_testing(), locks);
+  ASSERT_TRUE(space_.Unmap(a, 2).ok());
+  EXPECT_GT(space_.lock_acquires_for_testing(), locks);
+}
+
+// Lock-free readers racing Remap and Unmap of the page they read. The page
+// flips between two frames with distinct fills (both stay pinned by their
+// own mappings), then goes away: a reader may see either fill or nothing,
+// never a mix and never other bytes.
+TEST(AddressSpaceRaceTest, ReadersSeeOneOfTwoFramesOrNothing) {
+  PhysicalMemory phys;
+  AddressSpace space(&phys);
+  const VAddr a = space.ReserveRange(1);
+  const VAddr b = space.ReserveRange(1);
+  const VAddr p = space.ReserveRange(1);
+  ASSERT_TRUE(space.MapFresh(a, 1).ok());
+  ASSERT_TRUE(space.MapFresh(b, 1).ok());
+  std::memset(space.TranslatePtr(a), 0xA1, kVPageSize);
+  std::memset(space.TranslatePtr(b), 0xB2, kVPageSize);
+  auto frame_a = space.TranslatePage(a);
+  ASSERT_TRUE(frame_a.ok());
+  ASSERT_TRUE(space.MapFrames(p, {*frame_a}).ok());
+
+  constexpr int kReaders = 3;
+  std::atomic<bool> unmapped{false};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> fills{0};
+  std::atomic<int> saw_unmap{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      bool counted = false;
+      while (!stop.load(std::memory_order_acquire)) {
+        const bool after = unmapped.load(std::memory_order_acquire);
+        const uint8_t* ptr = space.TranslatePtr(p + 100);
+        if (ptr != nullptr) {
+          if (*ptr != 0xA1 && *ptr != 0xB2) ++bad;
+          if (after) ++bad;  // the unmap had already been published
+        }
+        uint8_t buf[64];
+        const Status st = space.ReadVirtual(p + 1000, buf, sizeof(buf));
+        if (st.ok()) {
+          for (uint8_t byte : buf) {
+            if (byte != buf[0]) ++bad;
+          }
+          if (buf[0] != 0xA1 && buf[0] != 0xB2) ++bad;
+          if (after) ++bad;
+          ++fills;
+        } else if (!st.IsNotFound()) {
+          ++bad;
+        } else if (after && !counted) {
+          counted = true;
+          ++saw_unmap;
+        }
+      }
+    });
+  }
+  while (fills.load() == 0) std::this_thread::yield();
+  // No ASSERT while readers run: an early return would leave them unjoined.
+  for (int i = 0; i < 2000; ++i) {
+    EXPECT_TRUE(space.Remap(p, (i % 2) == 0 ? b : a, 1).ok());
+  }
+  EXPECT_TRUE(space.Unmap(p, 1).ok());
+  unmapped.store(true, std::memory_order_release);
+  while (saw_unmap.load() < kReaders) std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(fills.load(), 0u);
+  EXPECT_EQ(space.TranslatePtr(p), nullptr);
 }
 
 namespace {

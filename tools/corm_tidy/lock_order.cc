@@ -98,9 +98,9 @@ struct LockDecl {
 //   Shard() : mu(LockRank::kNodeDirectory) {}        (ctor initializer)
 // Both are `IDENT ( '{' | '(' ) LockRank :: kX ( '}' | ')' )`; the
 // LockRankRegion RAII declaration shares the shape and is excluded (it is
-// an acquisition, not a lock). corm::Mutex/SharedMutex members bind to
-// kSubstrate when that rank exists: the runtime leaves them uninstrumented
-// (always a leaf), and the static pass gives them the leaf rank so a CoRM
+// an acquisition, not a lock). corm::Mutex/SharedMutex/CountedMutex
+// members bind to kSubstrate when that rank exists: the runtime leaves them
+// uninstrumented (always a leaf), and the static pass gives them the leaf rank so a CoRM
 // lock acquired *under* one is still diagnosed.
 void ParseLockDecls(const std::vector<const SourceFile*>& files,
                     const std::map<std::string, int>& ranks,
@@ -121,7 +121,8 @@ void ParseLockDecls(const std::vector<const SourceFile*>& files,
         continue;
       }
       if (substrate != ranks.end() &&
-          (IsIdent(toks[i], "Mutex") || IsIdent(toks[i], "SharedMutex")) &&
+          (IsIdent(toks[i], "Mutex") || IsIdent(toks[i], "SharedMutex") ||
+           IsIdent(toks[i], "CountedMutex")) &&
           IsIdent(toks[i + 1]) && IsPunct(toks[i + 2], ";")) {
         out->push_back({toks[i + 1].text, substrate->second, true, stem});
       }

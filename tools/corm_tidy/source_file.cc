@@ -52,8 +52,9 @@ const std::vector<CheckInfo>& CheckCatalog() {
        "(container growth, string append, std::function) (rule 7)"},
       {kCheckUnboundedWait,
        "loops polling a std::atomic with no Deadline or stop-flag bound; "
-       "absolute ban (incl. sleeps and escapes) in compaction_engine.cc "
-       "and the replicated-log ship path (rules 5+8)"},
+       "absolute ban (incl. sleeps and escapes) in compaction_engine.cc, "
+       "the replicated-log ship path and the index bucket lock "
+       "(index_table.cc) (rules 5+8)"},
       {kCheckEscapeRationale,
        "every NOLINT(corm-*) / NO_THREAD_SAFETY_ANALYSIS escape must carry "
        "a written rationale on the same or preceding line (rule 6)"},

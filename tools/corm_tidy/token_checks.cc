@@ -200,9 +200,9 @@ void CheckUnboundedWait(const SourceFile& f, DiagSink* sink) {
   for (size_t i = 0; i < toks.size(); ++i) {
     if (strict && IsIdent(toks[i], "sleep_for")) {
       report(kCheckUnboundedWait, toks[i].line, toks[i].col,
-             "sleep inside a strict-wait file; compaction phase handlers "
-             "and the replication ship path poll and re-enter on the next "
-             "slice (rule 8)");
+             "sleep inside a strict-wait file; compaction phase handlers, "
+             "the replication ship path and the index bucket lock poll and "
+             "re-enter or give up at a Deadline (rule 8)");
       continue;
     }
     if (!IsIdent(toks[i], "while")) continue;
@@ -274,7 +274,8 @@ void CheckUnboundedWait(const SourceFile& f, DiagSink* sink) {
         sink->diags->push_back(
             {f.path(), line, 1, kCheckUnboundedWait,
              "spin-wait NOLINT marker inside a strict-wait file "
-             "(compaction_engine.cc, log_shipper.cc, replication.cc); "
+             "(compaction_engine.cc, log_shipper.cc, replication.cc, "
+             "index_table.cc); "
              "rule 8 grants no escape here — remove the wait instead"});
       }
     }
@@ -339,10 +340,13 @@ bool IsStrictWaitPath(const std::string& path) {
   // replicated write behind it, and a blocked applier stalls a whole
   // ingress ring — both must convert dead peers into kTimeout via
   // Deadline, never wait unboundedly. Strict mode overrides the src/rdma/
-  // wait exemption for log_shipper.cc.
+  // wait exemption for log_shipper.cc. The keyed index's bucket seq-lock
+  // (index_table.cc) is held by serving workers and the compaction
+  // engine's IndexRepair alike, so a wait there stalls both.
   return path.find("compaction_engine.cc") != std::string::npos ||
          path.find("log_shipper.cc") != std::string::npos ||
-         path.find("replication.cc") != std::string::npos;
+         path.find("replication.cc") != std::string::npos ||
+         path.find("index_table.cc") != std::string::npos;
 }
 
 bool IsThreadAnnotationsPath(const std::string& path) {

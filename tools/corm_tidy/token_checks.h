@@ -40,10 +40,10 @@ void CheckHotpathAlloc(const SourceFile& f, DiagSink* sink);
 
 // corm-unbounded-wait: while-loops whose condition reads a std::atomic
 // (`.load(` / `->load(`) with no Deadline and no stop-flag in the condition
-// or body. In the strict-wait files — compaction_engine.cc and the
-// replicated-log ship path (log_shipper.cc, replication.cc) — the check is
-// strict (rule 8): stop-flags don't count, sleeps are flagged, and NOLINT
-// is not honored.
+// or body. In the strict-wait files — compaction_engine.cc, the
+// replicated-log ship path (log_shipper.cc, replication.cc) and the keyed
+// index's bucket seq-lock (index_table.cc) — the check is strict (rule 8):
+// stop-flags don't count, sleeps are flagged, and NOLINT is not honored.
 void CheckUnboundedWait(const SourceFile& f, DiagSink* sink);
 
 // corm-escape-rationale: every NOLINT(corm-*) marker and every

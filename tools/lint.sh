@@ -11,9 +11,10 @@
 #   6. Every analysis escape carries a written rationale
 #      (corm-escape-rationale).
 #   7. No heap allocation in `// corm-hotpath` files (corm-hotpath-alloc).
-#   8. The strict-wait files (compaction_engine.cc and the replicated-log
-#      ship path) carry no unbounded waits and honor no NOLINT
-#      (corm-unbounded-wait, strict mode).
+#   8. The strict-wait files (compaction_engine.cc, the replicated-log
+#      ship path and the index bucket lock in index_table.cc) carry no
+#      unbounded waits and honor no NOLINT (corm-unbounded-wait, strict
+#      mode).
 # `corm-tidy --list-checks` prints the full catalog.
 #
 # The rules below are plain greps that corm-tidy does not implement:
