@@ -24,6 +24,11 @@ constexpr int kQuorumRetransmitEvery = 8;
 // Sweep attempts before a repair task is dropped (the next degraded op on
 // the object re-enqueues it, so dropping loses nothing permanent).
 constexpr int kMaxRepairAttempts = 5;
+// Repairs attempted per anti-entropy sweep tick.
+constexpr size_t kAntiEntropyBudget = 8;
+// Bounded repair backlog; excess enqueues are dropped (the next degraded
+// op re-enqueues).
+constexpr size_t kMaxPendingRepairs = 1024;
 
 // A replica attempt that failed with one of these is a node problem, not a
 // data problem: the caller should try the next replica.
@@ -555,7 +560,7 @@ void ReplicatedContext::EnqueueRepair(const ReplicatedAddr& addr) {
       return;
     }
   }
-  if (repairs_.size() >= options_.max_pending_repairs) return;
+  if (repairs_.size() >= kMaxPendingRepairs) return;
   repairs_.push_back(RepairTask{addr, 0});
 }
 
@@ -569,7 +574,7 @@ void ReplicatedContext::StartAntiEntropy(int scheduler_node) {
   anti_entropy_node_ = scheduler_node;
   anti_entropy_task_ =
       dsm_.cluster()->node(scheduler_node)->RegisterBackgroundTask([this] {
-        RunAntiEntropySweep(options_.anti_entropy_budget);
+        RunAntiEntropySweep(kAntiEntropyBudget);
       });
 }
 
@@ -604,7 +609,7 @@ size_t ReplicatedContext::RunAntiEntropySweep(size_t budget) {
       ++converged;
     } else if (++task.attempts < kMaxRepairAttempts) {
       LockGuard<Mutex> lock(repair_mu_);
-      if (repairs_.size() < options_.max_pending_repairs)
+      if (repairs_.size() < kMaxPendingRepairs)
         repairs_.push_back(std::move(task));
     }
   }

@@ -75,11 +75,6 @@ struct ReplicationOptions {
   // Wall-clock budget for the quorum ack wait (and the failover seal).
   // 0 derives it from the client options' rpc_retry deadline.
   uint64_t quorum_deadline_ns = 0;
-  // Repairs attempted per anti-entropy sweep tick.
-  size_t anti_entropy_budget = 8;
-  // Bounded repair backlog; excess enqueues are dropped (the next degraded
-  // op re-enqueues).
-  size_t max_pending_repairs = 1024;
 };
 
 class ReplicatedContext {

@@ -5,6 +5,10 @@
 // r_key, out-of-bounds, or an access racing ibv_rereg_mr — transitions to
 // the error state and must be reconnected, which models the multi-
 // millisecond recovery cost the paper is careful to avoid.
+//
+// Every verb — a single Read/Write as much as a chain — is a post of work
+// requests through PostBatchShared, and every WR runs in ExecuteWr, the one
+// place a verb reaches Rnic::MttAccess.
 
 #ifndef CORM_RDMA_QUEUE_PAIR_H_
 #define CORM_RDMA_QUEUE_PAIR_H_
@@ -20,22 +24,17 @@ namespace corm::rdma {
 
 class QueuePair;
 
-// One work request inside a chained post (ibv_send_wr analogue). The
-// poster fills the input fields; PostBatch fills `old_value` (atomics) and
-// `status` per WR — the per-WR CQE. Reads/writes scatter through `buf`;
-// atomics operate on one naturally-aligned 8-byte remote word.
+// One work request inside a post (ibv_send_wr analogue). The poster fills
+// the input fields; the post fills `status` per WR — the per-WR CQE.
 struct WorkRequest {
-  enum class Op : uint8_t { kRead, kWrite, kCas, kFetchAdd };
+  enum class Op : uint8_t { kRead, kWrite };
 
   Op op = Op::kRead;
   RKey r_key = 0;
   sim::VAddr addr = 0;
-  void* buf = nullptr;     // read destination / write source (kRead/kWrite)
-  size_t len = 0;          // byte count for kRead/kWrite
-  uint64_t compare = 0;    // kCas: expected remote word
-  uint64_t operand = 0;    // kCas: swap value; kFetchAdd: addend
-  uint64_t old_value = 0;  // out (atomics): the word's prior contents
-  Status status;           // out: per-WR completion status
+  void* buf = nullptr;  // read destination / write source
+  size_t len = 0;
+  Status status;        // out: per-WR completion status
 };
 
 // Chained post with selective signaling across one or more QPs sharing a
@@ -43,11 +42,11 @@ struct WorkRequest {
 // chain (per-QP MMIO posts are back-to-back, overlapped with the first wire
 // leg) and only the final WR is signaled, so the batch pays
 // DoorbellNs + sum(wire legs) + CompletionNs — the LatencyModel::RdmaBatchNs
-// shape — instead of n full round trips. Per-WR failures land in
-// wrs[i].status (a WR that breaks its QP flushes that QP's remaining WRs
-// with kQpBroken, IB flush semantics); the call itself only fails when
-// every QP was already broken on entry or n == 0. Returns the total
-// modeled ns, already paced.
+// shape — instead of n full round trips; a one-WR post is exactly
+// RdmaReadNs(len). Per-WR failures land in wrs[i].status (a WR that breaks
+// its QP flushes that QP's remaining WRs with kQpBroken, IB flush
+// semantics); the call itself only fails when every QP was already broken
+// on entry or n == 0. Returns the total modeled ns, already paced.
 Result<uint64_t> PostBatchShared(QueuePair* const* qps, WorkRequest* wrs,
                                  size_t n);
 
@@ -61,25 +60,16 @@ class QueuePair {
 
   State state() const { return state_.load(std::memory_order_acquire); }
 
-  // One-sided RDMA read of `len` bytes at remote `addr` into `buf`.
-  // Returns the modeled round-trip nanoseconds (including any ODP faults),
-  // and paces the calling thread by that amount. On a remote access error
-  // the QP enters the error state and kQpBroken is returned.
+  // One-sided RDMA read of `len` bytes at remote `addr` into `buf`: a
+  // one-WR post. Returns the modeled round-trip nanoseconds (including any
+  // ODP faults), and paces the calling thread by that amount. On a remote
+  // access error the QP enters the error state and the WR's kQpBroken is
+  // returned.
   Result<uint64_t> Read(RKey r_key, sim::VAddr addr, void* buf, size_t len);
 
-  // One-sided RDMA write (used by raw-RDMA baselines; CoRM itself issues
-  // writes via RPC).
+  // One-sided RDMA write, the same way (the replicated log shipper's verb).
   Result<uint64_t> Write(RKey r_key, sim::VAddr addr, const void* data,
                          size_t len);
-
-  // One-sided atomics on a remote 8-byte word (IB verbs' CMP_SWAP and
-  // FETCH_ADD). `*old_value` receives the prior contents; a
-  // CAS succeeded iff *old_value == compare. Charged as a single-WR post
-  // (doorbell + wire + RMW + completion) and paced.
-  Result<uint64_t> CompareSwap(RKey r_key, sim::VAddr addr, uint64_t compare,
-                               uint64_t swap, uint64_t* old_value);
-  Result<uint64_t> FetchAdd(RKey r_key, sim::VAddr addr, uint64_t addend,
-                            uint64_t* old_value);
 
   // Chained post on this QP alone (see PostBatchShared above).
   Result<uint64_t> PostBatch(WorkRequest* wrs, size_t n);
@@ -94,12 +84,6 @@ class QueuePair {
   uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }
-  uint64_t batches_posted() const {
-    return batches_posted_.load(std::memory_order_relaxed);
-  }
-  uint64_t batched_wrs() const {
-    return batched_wrs_.load(std::memory_order_relaxed);
-  }
 
   const sim::LatencyModel& model() const { return rnic_->model(); }
 
@@ -107,21 +91,24 @@ class QueuePair {
   friend Result<uint64_t> PostBatchShared(QueuePair* const*, WorkRequest*,
                                           size_t);
 
-  Result<uint64_t> Access(RKey r_key, sim::VAddr addr, void* buf, size_t len,
-                          bool is_write);
+  // The one post body: qps[i * qp_stride] executes wrs[i] (stride 0 posts
+  // the whole chain on qps[0]).
+  static Result<uint64_t> Post(QueuePair* const* qps, size_t qp_stride,
+                               WorkRequest* wrs, size_t n);
 
-  // Executes one WR unpaced: runs the MTT access/atomic, fills the WR's
-  // out-fields, and returns the modeled wire-side cost of this WR alone
-  // (wire leg + MTT faults + RMW; no doorbell/completion — the batch
-  // poster charges those once per chain).
+  // Posts `wr` alone and folds its per-WR status into the result.
+  Result<uint64_t> PostOne(WorkRequest wr);
+
+  // Executes one WR unpaced: runs the MTT access, fills the WR's status,
+  // and returns the modeled wire-side cost of this WR alone (wire leg +
+  // MTT faults; no doorbell/completion — the poster charges those once per
+  // chain).
   uint64_t ExecuteWr(WorkRequest* wr);
 
   Rnic* const rnic_;
   std::atomic<State> state_{State::kConnected};
   std::atomic<uint64_t> reads_issued_{0};
   std::atomic<uint64_t> reconnects_{0};
-  std::atomic<uint64_t> batches_posted_{0};
-  std::atomic<uint64_t> batched_wrs_{0};
 };
 
 }  // namespace corm::rdma

@@ -321,42 +321,6 @@ Result<uint64_t> Rnic::MttAccess(RKey r_key, sim::VAddr addr, void* buf,
   return fault_ns;
 }
 
-Result<uint64_t> Rnic::MttAtomic(RKey r_key, sim::VAddr addr, bool is_cas,
-                                 uint64_t compare, uint64_t operand,
-                                 uint64_t* old_value, bool* broke_qp) {
-  *broke_qp = false;
-  if (auto* fi = sim::GlobalFaultInjector();
-      fi != nullptr && fi->ShouldFire(sim::fault_sites::kQpBreak)) {
-    return BreakQp(broke_qp, "injected QP break");
-  }
-  if (addr % sizeof(uint64_t) != 0) {
-    // The IB spec only defines atomics on naturally-aligned 8-byte words.
-    return BreakQp(broke_qp, "remote atomic on unaligned address");
-  }
-  MemoryRegion* mr = Slot(r_key);
-  LockGuard<Mutex> elock(mr->entries_mu_);
-  if (const char* why = RejectLocked(mr, r_key, addr, sizeof(uint64_t))) {
-    return BreakQp(broke_qp, why);
-  }
-  stats_.atomics.Add();
-
-  uint64_t fault_ns = MttCacheAccess(addr);
-  const size_t page_idx = (addr - mr->base_) >> sim::kVPageShift;
-  CORM_RETURN_NOT_OK(FaultInLocked(mr, page_idx, &fault_ns, broke_qp));
-  auto* word = reinterpret_cast<uint64_t*>(mr->entries_[page_idx].data +
-                                           sim::PageOffset(addr));
-  std::atomic_ref<uint64_t> ref(*word);
-  if (is_cas) {
-    uint64_t expected = compare;
-    ref.compare_exchange_strong(expected, operand,
-                                std::memory_order_acq_rel);
-    *old_value = expected;  // prior contents whether or not the CAS won
-  } else {
-    *old_value = ref.fetch_add(operand, std::memory_order_acq_rel);
-  }
-  return fault_ns;
-}
-
 void Rnic::OnMappingChange(sim::VAddr page) {
   // Regions are disjoint: find the (at most one) region covering `page`
   // via the base-ordered index, then invalidate under the region's lock.

@@ -102,7 +102,6 @@ struct RnicStats {
   StripedCounter mtt_cache_hits;
   StripedCounter mtt_cache_misses;
   std::atomic<uint64_t> repair_batches{0};  // batched MTT repair epochs
-  StripedCounter atomics;                   // masked-atomic verbs executed
 };
 
 // One registered range inside a batched repair call.
@@ -151,24 +150,12 @@ class Rnic : public sim::MmuNotifier {
   Status ReregMrBatch(const std::vector<RKey>& keys);
   Status AdviseMrBatch(const std::vector<MrRange>& ranges);
 
-  // --- Data path used by QueuePair. -----------------------------------
+  // --- Data path used by QueuePair::ExecuteWr. -------------------------
   // Reads/writes `len` bytes at `addr` through the MTT. Returns modeled ns
   // spent in MTT faults (0 when all entries were valid). `broke_qp` is set
   // when the access hit a region under re-registration.
   Result<uint64_t> MttAccess(RKey r_key, sim::VAddr addr, void* buf,
                              size_t len, bool is_write, bool* broke_qp);
-
-  // Masked-atomic verb on one naturally-aligned 8-byte word behind the MTT
-  // (ibv_wr_atomic_cmp_swp / ibv_wr_atomic_fetch_add). `is_cas` selects
-  // compare-and-swap (compare/operand) vs fetch-add (operand is the
-  // addend); `*old_value` always receives the word's prior contents — the
-  // IB atomic reply. The RMW executes as a CPU atomic on the resolved
-  // frame, so RNIC atomics and local std::atomic_ref accesses to the same
-  // word are globally coherent (IBV_ATOMIC_GLOB semantics). Returns modeled
-  // fault ns like MttAccess; same QP-break contract.
-  Result<uint64_t> MttAtomic(RKey r_key, sim::VAddr addr, bool is_cas,
-                             uint64_t compare, uint64_t operand,
-                             uint64_t* old_value, bool* broke_qp);
 
   // MmuNotifier: the OS remapped `page`; invalidate ODP entries.
   void OnMappingChange(sim::VAddr page) override;

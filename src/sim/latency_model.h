@@ -64,26 +64,17 @@ struct LatencyModel {
   uint64_t CompletionNs() const { return 300; }  // CQE write + poll
   // Wire + NIC processing for `bytes` of payload: FDR-like ~6.8 GB/s.
   uint64_t RdmaWireNs(uint64_t bytes) const { return 800 + bytes * 147 / 1000; }
-  // Extra PCIe round trip the RNIC pays to execute a masked atomic
-  // (CAS / fetch-add) against host memory.
-  uint64_t AtomicRmwNs() const { return 250; }
   // One-sided RDMA read round trip for `bytes` of payload (1.7 us base).
   uint64_t RdmaReadNs(uint64_t bytes) const {
     return DoorbellNs() + RdmaWireNs(bytes) + CompletionNs();
   }
-  // One-sided RDMA atomic on an 8-byte word (CAS / fetch-add).
-  uint64_t RdmaAtomicNs() const {
-    return RdmaReadNs(sizeof(uint64_t)) + AtomicRmwNs();
-  }
   // Chained post of `wrs` work requests carrying `total_bytes` overall with
   // selective signaling: one doorbell rings the whole chain and only the
   // last WR generates a completion, so the per-verb overhead is paid once
-  // while every WR still pays its wire leg. `atomics` of the WRs are
-  // masked-atomic verbs (each adds the RMW round trip).
-  uint64_t RdmaBatchNs(uint64_t wrs, uint64_t total_bytes,
-                       uint64_t atomics = 0) const {
+  // while every WR still pays its wire leg.
+  uint64_t RdmaBatchNs(uint64_t wrs, uint64_t total_bytes) const {
     return DoorbellNs() + wrs * RdmaWireNs(0) + total_bytes * 147 / 1000 +
-           atomics * AtomicRmwNs() + CompletionNs();
+           CompletionNs();
   }
   // Send/Recv RPC round trip carrying `bytes` of payload (the larger
   // direction). Two-sided adds ~0.9 us: the responder's own doorbell +

@@ -467,26 +467,35 @@ TEST(ChaosTest, ReplicaAndPrimaryKillsLoseNoAckedWrites) {
   constexpr int kOps = 900;
 #endif
 
-  dsm::ReplicatedContext ctx(&cluster, /*replication_factor=*/2,
-                             ChaosClientOptions());
   std::vector<KeyState> keys(kKeys);
   std::vector<uint8_t> buf(kObjectSize), out(kObjectSize);
   std::vector<std::string> hard_errors;
   uint64_t seq = 0;
 
   // Initialize every key on the quiet cluster so the storm below never has
-  // to reason about half-initialized replicas.
-  for (uint64_t key = 0; key < kKeys; ++key) {
-    auto addr = ctx.Alloc(kObjectSize);
-    ASSERT_TRUE(addr.ok()) << addr.status().ToString();
-    keys[key].addr = *addr;
-    const uint64_t pid = PatternId(0, key, ++seq);
-    core::PatternFill(pid, buf.data(), kObjectSize);
-    ASSERT_TRUE(ctx.Write(&keys[key].addr, buf.data(), kObjectSize).ok());
-    ASSERT_EQ(ctx.degraded_writes(), 0u);
-    keys[key].live = true;
-    keys[key].committed = pid;
+  // to reason about half-initialized replicas. Nothing is injected yet, so
+  // the init context keeps the default RPC deadline: the chaos client's
+  // short one can expire on a loaded host before any fault is armed. The
+  // storm context adopts the ReplicatedAddrs, which carry all the
+  // client-side replication state.
+  {
+    dsm::ReplicatedContext init(&cluster, /*replication_factor=*/2);
+    for (uint64_t key = 0; key < kKeys; ++key) {
+      auto addr = init.Alloc(kObjectSize);
+      ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+      keys[key].addr = *addr;
+      const uint64_t pid = PatternId(0, key, ++seq);
+      core::PatternFill(pid, buf.data(), kObjectSize);
+      const Status st = init.Write(&keys[key].addr, buf.data(), kObjectSize);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      ASSERT_EQ(init.degraded_writes(), 0u);
+      keys[key].live = true;
+      keys[key].committed = pid;
+    }
   }
+
+  dsm::ReplicatedContext ctx(&cluster, /*replication_factor=*/2,
+                             ChaosClientOptions());
 
   uint64_t acked = 0, uncertain_writes = 0;
   {

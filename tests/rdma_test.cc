@@ -383,58 +383,61 @@ TEST_F(RnicTest, PostBatchChainsReadsForOneDoorbell) {
   // Per-WR integer rounding of the byte leg can undershoot the aggregate
   // formula by at most 1 ns per WR.
   const LatencyModel& model = qp.model();
-  EXPECT_GE(*total, model.RdmaBatchNs(kWrs, kWrs * kSlot, 0) - kWrs);
-  EXPECT_LE(*total, model.RdmaBatchNs(kWrs, kWrs * kSlot, 0));
+  EXPECT_GE(*total, model.RdmaBatchNs(kWrs, kWrs * kSlot) - kWrs);
+  EXPECT_LE(*total, model.RdmaBatchNs(kWrs, kWrs * kSlot));
   EXPECT_GE(kWrs * model.RdmaReadNs(kSlot), *total * 3 / 2);
-  EXPECT_EQ(qp.batches_posted(), 1u);
-  EXPECT_EQ(qp.batched_wrs(), kWrs);
+
+  // A single verb is a one-WR chain: Read, Write and a one-WR PostBatch
+  // all charge exactly RdmaReadNs(len) on a warm MTT.
+  auto read = qp.Read(keys->r_key, base, out.data(), kSlot);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, model.RdmaReadNs(kSlot));
+  auto write = qp.Write(keys->r_key, base, data.data(), kSlot);
+  ASSERT_TRUE(write.ok());
+  EXPECT_EQ(*write, model.RdmaReadNs(kSlot));
+  for (WorkRequest::Op op : {WorkRequest::Op::kRead, WorkRequest::Op::kWrite}) {
+    WorkRequest one;
+    one.op = op;
+    one.r_key = keys->r_key;
+    one.addr = base;
+    one.buf = op == WorkRequest::Op::kRead ? out.data() : data.data();
+    one.len = kSlot;
+    auto posted = qp.PostBatch(&one, 1);
+    ASSERT_TRUE(posted.ok());
+    EXPECT_TRUE(one.status.ok());
+    EXPECT_EQ(*posted, model.RdmaReadNs(kSlot));
+  }
 }
 
-TEST_F(RnicTest, PostBatchAtomicsCoherentWithCpu) {
+TEST_F(RnicTest, SingleVerbAndOneWrChainBreakTheQpAlike) {
   VAddr base = MapPages(1);
-  const uint64_t initial = 40;
-  ASSERT_TRUE(space_.WriteVirtual(base, &initial, 8).ok());
   auto keys = rnic_.RegisterMemory(base, 1, false);
   ASSERT_TRUE(keys.ok());
-  QueuePair qp(&rnic_);
-  uint64_t warm = 0;
-  ASSERT_TRUE(qp.Read(keys->r_key, base, &warm, 8).ok());  // warm the MTT
+  ASSERT_TRUE(rnic_.DeregisterMemory(keys->r_key).ok());  // a dead key
+  uint64_t word = 0;
 
-  // FETCH_ADD then CAS on the same word, chained; old_value is the per-WR
-  // CQE payload, so the CAS sees the FETCH_ADD's result.
-  WorkRequest wrs[2];
-  wrs[0].op = WorkRequest::Op::kFetchAdd;
-  wrs[0].r_key = keys->r_key;
-  wrs[0].addr = base;
-  wrs[0].operand = 2;
-  wrs[1].op = WorkRequest::Op::kCas;
-  wrs[1].r_key = keys->r_key;
-  wrs[1].addr = base;
-  wrs[1].compare = 42;
-  wrs[1].operand = 99;
-  auto total = qp.PostBatch(wrs, 2);
-  ASSERT_TRUE(total.ok());
-  EXPECT_TRUE(wrs[0].status.ok());
-  EXPECT_TRUE(wrs[1].status.ok());
-  EXPECT_EQ(wrs[0].old_value, 40u);
-  EXPECT_EQ(wrs[1].old_value, 42u);  // CAS matched
-  // Atomics ride an 8-byte wire leg each; the aggregate formula charges the
-  // bytes once, so the chain lands between the 0-byte and 16-byte shapes.
-  EXPECT_GE(*total, qp.model().RdmaBatchNs(2, 0, 2));
-  EXPECT_LE(*total, qp.model().RdmaBatchNs(2, 16, 2));
+  QueuePair read_qp(&rnic_);
+  QueuePair write_qp(&rnic_);
+  QueuePair chain_qp(&rnic_);
+  EXPECT_TRUE(
+      read_qp.Read(keys->r_key, base, &word, 8).status().IsQpBroken());
+  EXPECT_TRUE(
+      write_qp.Write(keys->r_key, base, &word, 8).status().IsQpBroken());
+  WorkRequest wr;
+  wr.r_key = keys->r_key;
+  wr.addr = base;
+  wr.buf = &word;
+  wr.len = 8;
+  ASSERT_TRUE(chain_qp.PostBatch(&wr, 1).ok());  // the post itself completes
+  EXPECT_TRUE(wr.status.IsQpBroken());           // with an error CQE
 
-  uint64_t cpu = 0;
-  ASSERT_TRUE(space_.ReadVirtual(base, &cpu, 8).ok());
-  EXPECT_EQ(cpu, 99u);
-
-  // The single-WR verbs agree with the chain's end state.
-  uint64_t prior = 0;
-  ASSERT_TRUE(qp.CompareSwap(keys->r_key, base, 99, 7, &prior).ok());
-  EXPECT_EQ(prior, 99u);
-  ASSERT_TRUE(qp.FetchAdd(keys->r_key, base, 1, &prior).ok());
-  EXPECT_EQ(prior, 7u);
-  ASSERT_TRUE(space_.ReadVirtual(base, &cpu, 8).ok());
-  EXPECT_EQ(cpu, 8u);
+  for (QueuePair* qp : {&read_qp, &write_qp, &chain_qp}) {
+    EXPECT_EQ(qp->state(), QueuePair::State::kError);
+    // Every later post on the broken QP fails outright, whichever verb.
+    EXPECT_TRUE(qp->Read(keys->r_key, base, &word, 8).status().IsQpBroken());
+    EXPECT_TRUE(qp->PostBatch(&wr, 1).status().IsQpBroken());
+  }
+  EXPECT_EQ(rnic_.stats().qp_breaks.load(), 3u);
 }
 
 TEST_F(RnicTest, PostBatchFlushesRemainingWrsOnBreak) {
@@ -495,8 +498,10 @@ TEST_F(RnicTest, PostBatchSharedSurvivesOneBrokenQp) {
   EXPECT_EQ(words[1], seeded);
   EXPECT_EQ(bad.state(), QueuePair::State::kError);
   EXPECT_EQ(good.state(), QueuePair::State::kConnected);
-  // The shared chain is one doorbell charge, counted on the lead QP.
-  EXPECT_EQ(bad.batches_posted() + good.batches_posted(), 1u);
+  // The shared chain is one doorbell charge; the broken WR adds no wire
+  // leg, the good one its wire leg and a cold MTT-cache miss.
+  const LatencyModel& model = good.model();
+  EXPECT_EQ(*total, model.RdmaBatchNs(1, 8) + model.MttCacheMissNs());
 }
 
 // --- RPC transport -----------------------------------------------------------

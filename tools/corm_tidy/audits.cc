@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -134,6 +135,72 @@ std::vector<std::string> ParseCounterList(const std::string& header) {
     }
   }
   return names;
+}
+
+// The quoted targets of the `#include "..."` lines in `text`.
+std::vector<std::string> QuotedIncludes(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    size_t i = line.find_first_not_of(" \t");
+    if (i == std::string::npos || line[i] != '#') continue;
+    i = line.find_first_not_of(" \t", i + 1);
+    if (i == std::string::npos || line.compare(i, 7, "include") != 0) continue;
+    const size_t open = line.find('"', i + 7);
+    if (open == std::string::npos) continue;
+    const size_t close = line.find('"', open + 1);
+    if (close == std::string::npos) continue;
+    out.push_back(line.substr(open + 1, close - open - 1));
+  }
+  return out;
+}
+
+// The dead-module contract. Headers are named by their path relative to
+// src/, the spelling every include in the tree uses; an include is also
+// resolved against its own file's directory. Returns the failure count.
+int AuditDeadModules(const fs::path& root,
+                     const std::function<void(const std::string&)>& fail) {
+  const fs::path src = root / "src";
+  std::vector<std::string> headers;
+  // Included header (src/-relative) -> the files including it.
+  std::map<std::string, std::set<std::string>> includers;
+  for (const char* dir : {"src", "bench", "examples", "perfbench"}) {
+    if (!fs::is_directory(root / dir)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(root / dir)) {
+      const auto ext = entry.path().extension();
+      if (!entry.is_regular_file() ||
+          (ext != ".h" && ext != ".cc" && ext != ".cpp")) {
+        continue;
+      }
+      const std::string rel =
+          entry.path().lexically_relative(src).generic_string();
+      if (ext == ".h" && rel.rfind("..", 0) != 0) headers.push_back(rel);
+      std::string text;
+      if (!ReadFile(entry.path(), &text)) continue;
+      const fs::path dir_rel =
+          entry.path().parent_path().lexically_relative(src);
+      for (const std::string& inc : QuotedIncludes(text)) {
+        includers[inc].insert(rel);
+        includers[(dir_rel / inc).lexically_normal().generic_string()].insert(
+            rel);
+      }
+    }
+  }
+  std::sort(headers.begin(), headers.end());
+  int failures = 0;
+  for (const std::string& h : headers) {
+    const std::string own_cc = h.substr(0, h.size() - 2) + ".cc";
+    const auto& by = includers[h];
+    if (std::none_of(by.begin(), by.end(),
+                     [&](const std::string& f) { return f != own_cc; })) {
+      ++failures;
+      fail("header `src/" + h +
+           "` is included by nothing under src/, bench/, examples/ or "
+           "perfbench/ but its own .cc: a dead module");
+    }
+  }
+  return failures;
 }
 
 }  // namespace
@@ -271,6 +338,11 @@ int RunAudits(const std::string& root, std::ostream& os) {
   if (failures == fault_failures) {
     os << "  OK   node counters: " << counters.size()
        << " counter(s) documented\n";
+  }
+
+  // --- Dead modules. -------------------------------------------------------
+  if (AuditDeadModules(rp, fail) == 0) {
+    os << "  OK   dead modules: every src/ header has an includer\n";
   }
 
   return failures == 0 ? 0 : 1;

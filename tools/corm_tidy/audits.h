@@ -1,6 +1,6 @@
 // corm-tidy: project contract audits (`corm-tidy --audit`).
 //
-// Two exhaustiveness contracts that rot silently without a machine check:
+// Three exhaustiveness contracts that rot silently without a machine check:
 //
 //   Fault sites.  Every named injection site in src/sim/fault_injector.h
 //   (the fault_sites namespace) must be (a) exercised by at least one test
@@ -19,6 +19,12 @@
 //   is what bench scripts and plots consume. Again both directions: a
 //   schema row for a counter that was removed fails.
 //
+//   Dead modules.  Every header under src/ must be #included by some file
+//   under src/, bench/, examples/ or perfbench/ other than its own .cc
+//   (same directory, same stem). A header that only its implementation
+//   and tests include is code nothing runs; delete it rather than keep it
+//   compiling.
+//
 // Exit codes: 0 all contracts hold, 1 violations, 2 the tree is missing a
 // prerequisite (no marker block, no fault_injector.h, ...) — an audit that
 // cannot run must not report success.
@@ -31,8 +37,9 @@
 
 namespace corm_tidy {
 
-// Runs both audits against the repo rooted at `root` (expects src/, tests/,
-// DESIGN.md, EXPERIMENTS.md under it).
+// Runs the audits against the repo rooted at `root` (expects src/, tests/,
+// DESIGN.md, EXPERIMENTS.md under it; bench/, examples/ and perfbench/ are
+// optional).
 int RunAudits(const std::string& root, std::ostream& os);
 
 }  // namespace corm_tidy
