@@ -180,7 +180,6 @@ Status Context::ReleasePtr(GlobalAddr* addr) {
 Status Context::ValidateAndExtract(const uint8_t* slot, uint32_t slot_size,
                                    const GlobalAddr& addr, void* buf,
                                    size_t size) {
-  const ConsistencyMode mode = node_->config().consistency;
   const ObjectHeader h =
       ObjectHeader::Unpack(*reinterpret_cast<const uint64_t*>(slot));
   if (h.lock == LockState::kTombstone || h.obj_id != addr.obj_id) {
@@ -189,14 +188,21 @@ Status Context::ValidateAndExtract(const uint8_t* slot, uint32_t slot_size,
   if (!Readable(h.lock)) {
     return Status::ObjectLocked("object write-locked");
   }
-  if (!SnapshotConsistent(slot, slot_size, mode)) {
-    return Status::TornRead("consistency metadata mismatch");
+  if (!SnapshotConsistent(slot, slot_size)) {
+    return Status::TornRead("cacheline version mismatch");
   }
-  if (size > PayloadCapacity(slot_size, mode)) {
+  if (size > PayloadCapacity(slot_size)) {
     return Status::InvalidArgument("read larger than object payload");
   }
-  ReadPayload(slot, slot_size, buf, static_cast<uint32_t>(size), mode);
+  ReadPayload(slot, slot_size, buf, static_cast<uint32_t>(size));
   return Status::OK();
+}
+
+void Context::CountReadFailure(const Status& st) {
+  stats_.direct_read_failures++;
+  if (st.IsTornRead()) stats_.torn_reads++;
+  if (st.IsObjectLocked()) stats_.locked_reads++;
+  if (st.IsObjectMoved()) stats_.moved_reads++;
 }
 
 Status Context::SnapshotRead(const GlobalAddr& addr, void* buf, size_t size) {
@@ -212,12 +218,7 @@ Status Context::DirectRead(const GlobalAddr& addr, void* buf, size_t size) {
   OpTimer timer(this);
   stats_.direct_reads++;
   Status st = SnapshotRead(addr, buf, size);
-  if (!st.ok()) {
-    stats_.direct_read_failures++;
-    if (st.IsTornRead()) stats_.torn_reads++;
-    if (st.IsObjectLocked()) stats_.locked_reads++;
-    if (st.IsObjectMoved()) stats_.moved_reads++;
-  }
+  if (!st.ok()) CountReadFailure(st);
   return st;
 }
 
@@ -271,10 +272,7 @@ Status Context::DirectReadBatch(const GlobalAddr* addrs, size_t n, void* bufs,
               out + (done + i) * size, size);
         }
         if (!st.ok()) {
-          stats_.direct_read_failures++;
-          if (st.IsTornRead()) stats_.torn_reads++;
-          if (st.IsObjectLocked()) stats_.locked_reads++;
-          if (st.IsObjectMoved()) stats_.moved_reads++;
+          CountReadFailure(st);
           if (first.ok()) first = st;
         }
         statuses[done + i] = st;
@@ -297,23 +295,13 @@ Status Context::ScanRead(GlobalAddr* addr, void* buf, size_t size) {
   const sim::VAddr base = BlockBaseOf(addr->vaddr, block_bytes);
   CORM_RETURN_NOT_OK(RawRead(addr->r_key, base, scratch_.data(), block_bytes));
 
-  const ConsistencyMode mode = node_->config().consistency;
   const uint32_t num_slots = static_cast<uint32_t>(block_bytes / slot_size);
   for (uint32_t slot = 0; slot < num_slots; ++slot) {
     const uint8_t* sptr = scratch_.data() + slot * slot_size;
     const ObjectHeader h =
         ObjectHeader::Unpack(*reinterpret_cast<const uint64_t*>(sptr));
     if (h.obj_id != addr->obj_id || h.lock == LockState::kTombstone) continue;
-    if (!Readable(h.lock)) {
-      return Status::ObjectLocked("object write-locked during scan");
-    }
-    if (!SnapshotConsistent(sptr, slot_size, mode)) {
-      return Status::TornRead("torn object during scan");
-    }
-    if (size > PayloadCapacity(slot_size, mode)) {
-      return Status::InvalidArgument("read larger than object payload");
-    }
-    ReadPayload(sptr, slot_size, buf, static_cast<uint32_t>(size), mode);
+    CORM_RETURN_NOT_OK(ValidateAndExtract(sptr, slot_size, *addr, buf, size));
     const sim::VAddr corrected = base + static_cast<uint64_t>(slot) * slot_size;
     if (corrected != addr->vaddr) stats_.pointer_corrections++;
     addr->vaddr = corrected;  // pointer is direct again (§3.2)

@@ -160,6 +160,9 @@ class Context {
   Status ValidateAndExtract(const uint8_t* slot, uint32_t slot_size,
                             const GlobalAddr& addr, void* buf, size_t size);
 
+  // Tallies a failed one-sided read by cause (torn, locked, moved).
+  void CountReadFailure(const Status& st);
+
   // Executes a pooled RPC: `*msg` carries the encoded request; on OK the
   // caller decodes msg->response in place and Unrefs. On any failure the
   // message has been released and `*msg` is null.

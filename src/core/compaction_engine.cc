@@ -402,8 +402,7 @@ bool CompactionEngine::CopyObjects(size_t budget) NO_THREAD_SAFETY_ANALYSIS {
   alloc::Block* src = pool_[src_idx_].get();
   alloc::Block* dst = pool_[dst_idx_].get();
   const uint32_t slot_size = src->slot_size();
-  const ConsistencyMode mode = node_->config().consistency;
-  const uint32_t capacity = PayloadCapacity(slot_size, mode);
+  const uint32_t capacity = PayloadCapacity(slot_size);
   payload_.resize(capacity);
 
   for (size_t n = 0; n < budget && copy_cursor_ < live_slots_.size(); ++n) {
@@ -453,9 +452,9 @@ bool CompactionEngine::CopyObjects(size_t budget) NO_THREAD_SAFETY_ANALYSIS {
       ++pair_offset_preserved_;
     }
     ++pair_moved_;
-    ReadPayload(sptr, slot_size, payload_.data(), capacity, mode);
+    ReadPayload(sptr, slot_size, payload_.data(), capacity);
     uint8_t* dptr = worker_->SlotPtr(dst->base(), dst, dslot);
-    WritePayload(dptr, slot_size, h.version, payload_.data(), capacity, mode);
+    WritePayload(dptr, slot_size, h.version, payload_.data(), capacity);
     StoreHeaderWord(dptr, h.Pack());
     CORM_CHECK(dst->InsertId(h.obj_id, dslot)) << "ID conflict after check";
     pair_bytes_copied_ += capacity;

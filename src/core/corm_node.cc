@@ -239,7 +239,7 @@ Result<uint32_t> CormNode::ClassForPayload(uint32_t payload_size) const {
   for (uint32_t c = 0; c < classes_.num_classes(); ++c) {
     const uint32_t size = classes_.ClassSize(c);
     if (size > block_bytes()) break;
-    if (PayloadCapacity(size, config_.consistency) >= payload_size) return c;
+    if (PayloadCapacity(size) >= payload_size) return c;
   }
   return Status::InvalidArgument("object too large for any size class");
 }
@@ -475,7 +475,6 @@ Status CormNode::AuditBlock(const alloc::Block& block) {
       bits > 0 && slots_per_block <= (1ULL << bits);
   CORM_RETURN_NOT_OK(block.AuditConsistency(/*expect_ids=*/compactable));
 
-  const ConsistencyMode mode = config_.consistency;
   for (uint32_t slot = 0; slot < block.num_slots(); ++slot) {
     if (!block.SlotAllocated(slot)) continue;
     const uint8_t* ptr = space_->TranslatePtr(
@@ -505,7 +504,7 @@ Status CormNode::AuditBlock(const alloc::Block& block) {
       return Status::Internal(
           "block audit: home block not present in the directory");
     }
-    Status payload = AuditSlotConsistency(ptr, block.slot_size(), mode);
+    Status payload = AuditSlotConsistency(ptr, block.slot_size());
     if (!payload.ok() && LoadHeaderWord(ptr) == w1) return payload;
     // Header changed under us: a writer raced the payload check; skip.
   }
@@ -516,12 +515,9 @@ std::string CormNode::DebugReport() {
   std::string out;
   char line[160];
   std::snprintf(line, sizeof(line),
-                "CormNode: %d workers, %zu KiB blocks, CoRM-%d, %s\n",
+                "CormNode: %d workers, %zu KiB blocks, CoRM-%d\n",
                 config_.num_workers, block_bytes() / 1024,
-                config_.object_id_bits,
-                config_.consistency == ConsistencyMode::kCachelineVersions
-                    ? "cacheline-version reads"
-                    : "checksum reads");
+                config_.object_id_bits);
   out += line;
   std::snprintf(line, sizeof(line),
                 "memory: %s physical, %s virtual, %zu ghost ranges\n",

@@ -75,9 +75,6 @@ struct CormConfig {
   sim::CpuModel cpu_model = sim::CpuModel::kIntelXeon;
   RpcCorrectionStrategy rpc_correction =
       RpcCorrectionStrategy::kThreadMessaging;
-  // Lock-free read validation: FaRM-style cacheline versions (the paper's
-  // deliberate default) or the §4.2.1 checksum alternative.
-  ConsistencyMode consistency = ConsistencyMode::kCachelineVersions;
   // Compaction triggers when granted/used exceeds this per-class ratio.
   double fragmentation_threshold = 1.3;
   // Collection phase: only blocks at or below this occupancy are donated.
@@ -399,8 +396,8 @@ class CormNode {
   // by tests: the directory must resolve the block's base (and each ghost
   // alias) back to it, every quiescent live slot's header must agree with
   // the block's ID map, class and home-block directory entry, and the
-  // payload consistency metadata (cacheline versions / checksum) must
-  // validate. Slots under a concurrent write are skipped via the seqlock.
+  // payload's cacheline version bytes must validate. Slots under a
+  // concurrent write are skipped via the seqlock.
   Status AuditBlock(const alloc::Block& block);
 
   // Background compaction scheduler control (config.background_compaction

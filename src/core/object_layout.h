@@ -12,7 +12,9 @@
 // 64); smaller slots (16/32 B) never straddle a cacheline. A lock-free
 // DirectRead is consistent iff the object is unlocked and every version
 // byte matches the header version (paper §3.2.3). Writers bump the version
-// and rewrite all version bytes under the header lock.
+// and rewrite all version bytes under the header lock. This is the only
+// read-validation protocol: the trailing-checksum alternative §4.2.1
+// mentions is not built, so the slot geometry below is decided here alone.
 //
 // The header packs (paper §3.3, §4.4): the object version (8 b), the lock
 // state (2 b), the size class (6 b), the block-local object ID (16 b), and
@@ -35,19 +37,6 @@
 namespace corm::core {
 
 inline constexpr uint32_t kHeaderSize = 8;
-
-// How lock-free readers validate object consistency (§4.2.1): FaRM-style
-// per-cacheline version bytes (the paper's deliberate default, mimicking
-// FaRM), or a single checksum stored after the payload — the alternative
-// the paper suggests as "potentially a better strategy for large records"
-// (no cacheline-alignment constraint, no per-line byte overhead, at the
-// cost of hashing the payload on every read).
-enum class ConsistencyMode : uint8_t {
-  kCachelineVersions = 0,
-  kChecksum = 1,
-};
-
-inline constexpr uint32_t kChecksumSize = 4;
 
 // 2-bit lock states in the header.
 enum class LockState : uint8_t {
@@ -148,33 +137,23 @@ inline constexpr uint32_t SlotCachelines(uint32_t slot_size) {
              : slot_size / static_cast<uint32_t>(kCacheLineSize);
 }
 
-// Usable payload bytes in a slot of `slot_size` under `mode`: the header,
-// plus either one version byte per additional cacheline or a trailing
-// checksum word.
-inline constexpr uint32_t PayloadCapacity(
-    uint32_t slot_size,
-    ConsistencyMode mode = ConsistencyMode::kCachelineVersions) {
-  const uint32_t overhead =
-      mode == ConsistencyMode::kCachelineVersions
-          ? kHeaderSize + (SlotCachelines(slot_size) - 1)
-          : kHeaderSize + kChecksumSize;
+// Usable payload bytes in a slot of `slot_size`: the slot minus the header
+// and one version byte per additional cacheline.
+inline constexpr uint32_t PayloadCapacity(uint32_t slot_size) {
+  const uint32_t overhead = kHeaderSize + (SlotCachelines(slot_size) - 1);
   return slot_size > overhead ? slot_size - overhead : 0;
 }
 
 // Compile-time pin of the cacheline-version geometry (paper §3.2.3): one
 // version byte leads every 64 B line after the first, so readers and
-// writers must agree on the stride and the per-mode payload capacity.
+// writers must agree on the stride and the payload capacity.
 static_assert(kCacheLineSize == 64,
               "cacheline-version stride is fixed at 64 B");
 static_assert(SlotCachelines(16) == 1 && SlotCachelines(64) == 1 &&
                   SlotCachelines(128) == 2 && SlotCachelines(4096) == 64,
               "slot cacheline count drives version-byte placement");
-static_assert(PayloadCapacity(64, ConsistencyMode::kCachelineVersions) == 56 &&
-                  PayloadCapacity(128, ConsistencyMode::kCachelineVersions) ==
-                      119,
+static_assert(PayloadCapacity(64) == 56 && PayloadCapacity(128) == 119,
               "cacheline-version payload capacity: slot - 8 - (lines - 1)");
-static_assert(PayloadCapacity(64, ConsistencyMode::kChecksum) == 52,
-              "checksum payload capacity: slot - 8 - 4");
 
 // --- Atomic header access (server-side, on mapped frame memory). ---------
 
@@ -217,42 +196,32 @@ inline bool VersionMonotonic(uint8_t old_version, uint8_t new_version) {
   return new_version == NextVersion(old_version);
 }
 
-// --- Payload scatter/gather around the consistency metadata. ---------------
+// --- Payload scatter/gather around the cacheline version bytes. -----------
 
-// Writes `len` payload bytes into the slot and stamps the consistency
-// metadata: per-cacheline version bytes, or the trailing checksum (which
-// covers the version and the whole payload region). Does NOT touch the
-// header word; callers update it separately (under lock).
+// Writes `len` payload bytes into the slot and stamps `version` into every
+// cacheline's version byte, including lines past `len`, so a partial write
+// leaves the whole slot validating under the new version. Does NOT touch
+// the header word; callers update it separately (under lock).
 void WritePayload(uint8_t* slot, uint32_t slot_size, uint8_t version,
-                  const void* data, uint32_t len,
-                  ConsistencyMode mode = ConsistencyMode::kCachelineVersions);
+                  const void* data, uint32_t len);
 
 // Gathers up to `len` payload bytes from the slot into `out`.
 void ReadPayload(const uint8_t* slot, uint32_t slot_size, void* out,
-                 uint32_t len,
-                 ConsistencyMode mode = ConsistencyMode::kCachelineVersions);
+                 uint32_t len);
 
 // Lock-free consistency check on a *snapshot* of a slot (e.g. a DirectRead
-// buffer): header must be Readable, and either every cacheline version byte
-// equals the header version (paper §3.2.3) or the trailing checksum
-// matches the payload.
-bool SnapshotConsistent(
-    const uint8_t* slot, uint32_t slot_size,
-    ConsistencyMode mode = ConsistencyMode::kCachelineVersions);
-
-// FNV-1a over the payload region and the header version byte (internal,
-// exposed for tests).
-uint32_t PayloadChecksum(const uint8_t* slot, uint32_t slot_size);
+// buffer): the header must be Readable and every cacheline version byte
+// must equal the header version (paper §3.2.3).
+bool SnapshotConsistent(const uint8_t* slot, uint32_t slot_size);
 
 // --- Invariant audits (always compiled; hot-path hooks are CORM_AUDIT). ---
 
 // Audits one *quiescent* slot (caller guarantees no concurrent writer:
 // object locked by the caller, or the block is owner-private): every
-// version byte must equal the header version (or the checksum must match),
-// and the header lock state must be kFree or kTombstone. Returns OK or a
-// description of the first violation.
-Status AuditSlotConsistency(const uint8_t* slot, uint32_t slot_size,
-                            ConsistencyMode mode);
+// version byte must equal the header version, and the header lock state
+// must be kFree or kTombstone. Returns OK or a description of the first
+// violation.
+Status AuditSlotConsistency(const uint8_t* slot, uint32_t slot_size);
 
 // --- Deterministic test/bench payload patterns. ---------------------------
 

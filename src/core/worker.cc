@@ -340,11 +340,10 @@ Result<GlobalAddr> Worker::AllocObject(uint32_t payload_size, Slice value,
   h.class_idx = static_cast<uint8_t>(block->class_idx() & 0x3f);
   h.obj_id = *id;
   h.home_page = HomePageOf(block->base());
-  // Write the initial value and stamp the consistency metadata with the
+  // Write the initial value and stamp the cacheline versions with the
   // header's version before publishing the header.
   WritePayload(ptr, block->slot_size(), h.version, value.udata(),
-               static_cast<uint32_t>(value.size()),
-               node_->config().consistency);
+               static_cast<uint32_t>(value.size()));
   StoreHeaderWord(ptr, h.Pack());
 
   node_->vaddr_tracker_.OnAlloc(block->base());
@@ -555,8 +554,7 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
     return;
   }
   alloc::Block* block = resolved->block;
-  const ConsistencyMode mode = node_->config().consistency;
-  if (req.size > PayloadCapacity(block->slot_size(), mode)) {
+  if (req.size > PayloadCapacity(block->slot_size())) {
     Complete(rpc, Status::InvalidArgument("read larger than object payload"));
     return;
   }
@@ -582,8 +580,7 @@ void Worker::HandleRead(rdma::RpcMessage* rpc) NO_THREAD_SAFETY_ANALYSIS {
       Complete(rpc, Status::ObjectMoved("object moved during read"));
       return;
     }
-    ReadPayload(ptr, block->slot_size(), read_scratch_.data(), req.size,
-                mode);
+    ReadPayload(ptr, block->slot_size(), read_scratch_.data(), req.size);
     if (LoadHeaderWord(ptr) == w1) {
       // Validation succeeded: the snapshot happened-after the writer's
       // release in WritePayload/StoreHeaderWord (see sanitizer.h).
@@ -624,8 +621,7 @@ bool Worker::TryWrite(rdma::RpcMessage* rpc, const WriteRequest& req,
     return true;
   }
   alloc::Block* block = resolved->block;
-  const ConsistencyMode mode = node_->config().consistency;
-  if (req.size > PayloadCapacity(block->slot_size(), mode) ||
+  if (req.size > PayloadCapacity(block->slot_size()) ||
       payload.size() < req.size) {
     Complete(rpc, Status::InvalidArgument("write larger than object payload"));
     return true;
@@ -679,12 +675,12 @@ bool Worker::TryWrite(rdma::RpcMessage* rpc, const WriteRequest& req,
           // genuinely torn object and must reject it (locked header or
           // version mismatch); the final state is consistent either way.
           WritePayload(ptr, block->slot_size(), next.version, payload.data(),
-                       req.size / 2, mode);
+                       req.size / 2);
           Charge(rpc, hold_ns != 0 ? hold_ns : 2000);
         }
       }
       WritePayload(ptr, block->slot_size(), next.version, payload.data(),
-                   req.size, mode);
+                   req.size);
       Charge(rpc, node_->latency_model().WriteLockHoldNs(req.size));
       StoreHeaderWord(ptr, next.Pack());
       break;
@@ -755,8 +751,7 @@ bool Worker::ApplyReplRecord(const rdma::ReplRecordHeader& hdr,
     return true;
   }
   alloc::Block* block = resolved->block;
-  const ConsistencyMode mode = node_->config().consistency;
-  const uint32_t cap = PayloadCapacity(block->slot_size(), mode);
+  const uint32_t cap = PayloadCapacity(block->slot_size());
   if (hdr.kind == rdma::kReplRecordData &&
       (payload.size() < sizeof(rdma::ReplObjectHeader) ||
        payload.size() > cap)) {
@@ -792,7 +787,7 @@ bool Worker::ApplyReplRecord(const rdma::ReplRecordHeader& hdr,
     // Locked. Read the stored replica-image header and decide.
     rdma::ReplObjectHeader stored;
     ReadPayload(ptr, block->slot_size(),
-                reinterpret_cast<uint8_t*>(&stored), sizeof(stored), mode);
+                reinterpret_cast<uint8_t*>(&stored), sizeof(stored));
     const uint8_t* img = nullptr;  // full image to install, when applying
     size_t img_len = 0;
     if (hdr.kind == rdma::kReplRecordSeal) {
@@ -803,8 +798,7 @@ bool Worker::ApplyReplRecord(const rdma::ReplRecordHeader& hdr,
         // image stays self-consistent without recomputing payload sums.
         const size_t full = sizeof(stored) + stored.len;
         repl_seal_scratch_.resize(full);  // NOLINT(corm-hotpath-alloc) high-water only
-        ReadPayload(ptr, block->slot_size(), repl_seal_scratch_.data(),
-                    full, mode);
+        ReadPayload(ptr, block->slot_size(), repl_seal_scratch_.data(), full);
         stored.epoch = hdr.epoch;
         std::memcpy(repl_seal_scratch_.data(), &stored, sizeof(stored));
         img = repl_seal_scratch_.data();
@@ -838,7 +832,7 @@ bool Worker::ApplyReplRecord(const rdma::ReplRecordHeader& hdr,
     if constexpr (kAuditEnabled) {
       CORM_CHECK(VersionMonotonic(h.version, next.version));
     }
-    WritePayload(ptr, block->slot_size(), next.version, img, img_len, mode);
+    WritePayload(ptr, block->slot_size(), next.version, img, img_len);
     sim::Pace(node_->latency_model().WriteLockHoldNs(img_len));
     StoreHeaderWord(ptr, next.Pack());
     ++stats_.repl_applied_records;

@@ -1,7 +1,7 @@
 // Full configuration matrix: compaction correctness must hold for every
 // combination of remap strategy (§3.5), RPC correction strategy (§3.2.1),
-// consistency protocol (§4.2.1), ID width and block size. One TEST_P sweep
-// runs the same load→fragment→compact→verify cycle through all of them.
+// ID width and block size. One TEST_P sweep runs the same
+// load→fragment→compact→verify cycle through all of them.
 
 #include <gtest/gtest.h>
 
@@ -17,19 +17,16 @@ namespace corm::core {
 namespace {
 
 using Params = std::tuple<sim::RemapStrategy, RpcCorrectionStrategy,
-                          ConsistencyMode, int /*id_bits*/,
-                          size_t /*block_pages*/>;
+                          int /*id_bits*/, size_t /*block_pages*/>;
 
 class ConfigMatrix : public ::testing::TestWithParam<Params> {};
 
 TEST_P(ConfigMatrix, CompactionCycleIsCorrect) {
-  const auto [remap, correction, consistency, id_bits, block_pages] =
-      GetParam();
+  const auto [remap, correction, id_bits, block_pages] = GetParam();
   CormConfig config;
   config.num_workers = 2;
   config.remap_strategy = remap;
   config.rpc_correction = correction;
-  config.consistency = consistency;
   config.object_id_bits = id_bits;
   config.block_pages = block_pages;
   CormNode node(config);
@@ -82,7 +79,7 @@ TEST_P(ConfigMatrix, CompactionCycleIsCorrect) {
         ctx->ReadWithRecovery(&one_sided, buf.data(), payload).ok())
         << "config: remap=" << static_cast<int>(remap)
         << " corr=" << static_cast<int>(correction)
-        << " cons=" << static_cast<int>(consistency) << " bits=" << id_bits
+        << " bits=" << id_bits
         << " pages=" << block_pages << " obj=" << i;
     EXPECT_TRUE(PatternCheck(idx[i], buf.data(), payload));
     GlobalAddr rpc = survivors[i];
@@ -106,8 +103,6 @@ INSTANTIATE_TEST_SUITE_P(
                           sim::RemapStrategy::kOdpPrefetch),
         ::testing::Values(RpcCorrectionStrategy::kThreadMessaging,
                           RpcCorrectionStrategy::kBlockScan),
-        ::testing::Values(ConsistencyMode::kCachelineVersions,
-                          ConsistencyMode::kChecksum),
         ::testing::Values(6, 16),
         ::testing::Values<size_t>(1, 4)));
 

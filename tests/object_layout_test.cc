@@ -93,6 +93,18 @@ TEST_P(PayloadRoundTrip, PartialReadsAndWrites) {
   std::vector<uint8_t> out(len);
   ReadPayload(slot.data(), slot_size, out.data(), len);
   EXPECT_EQ(in, out);
+
+  // A partial rewrite under the next version stamps that version on every
+  // line, including the lines past `len`, so the whole slot validates.
+  WritePayload(slot.data(), slot_size, 2, in.data(), len);
+  for (uint32_t line = 1; line < SlotCachelines(slot_size); ++line) {
+    EXPECT_EQ(slot[line * kCacheLineSize], 2) << "line " << line;
+  }
+  ObjectHeader h;
+  h.version = 2;
+  const uint64_t packed = h.Pack();
+  std::memcpy(slot.data(), &packed, 8);
+  EXPECT_TRUE(SnapshotConsistent(slot.data(), slot_size));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllClasses, PayloadRoundTrip,
@@ -120,6 +132,20 @@ TEST(ConsistencyTest, TornCachelineDetected) {
   // A concurrent writer updated cacheline 2 (version 6) but not the rest —
   // exactly the torn state a DirectRead snapshot can capture.
   slot[2 * kCacheLineSize] = 6;
+  EXPECT_FALSE(SnapshotConsistent(slot.data(), 256));
+}
+
+TEST(ConsistencyTest, HeaderAheadOfLinesDetected) {
+  // The header version moved on while every line still carries the old
+  // version byte: a snapshot mixing a new header with the old payload.
+  std::vector<uint8_t> slot(256, 0);
+  std::vector<uint8_t> in(PayloadCapacity(256), 0xAA);
+  WritePayload(slot.data(), 256, 1, in.data(),
+               static_cast<uint32_t>(in.size()));
+  ObjectHeader h;
+  h.version = 2;
+  const uint64_t packed = h.Pack();
+  std::memcpy(slot.data(), &packed, 8);
   EXPECT_FALSE(SnapshotConsistent(slot.data(), 256));
 }
 

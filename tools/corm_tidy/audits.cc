@@ -137,6 +137,106 @@ std::vector<std::string> ParseCounterList(const std::string& header) {
   return names;
 }
 
+// True when the tokens before `end`, past any trailing identifiers
+// (`const`, `noexcept`), end in `)`: a function head, not a data member.
+bool EndsWithParams(const std::vector<Token>& toks, size_t begin, size_t end) {
+  while (end > begin && toks[end - 1].kind == Token::Kind::kIdent) --end;
+  return end > begin && IsPunct(toks[end - 1], ")");
+}
+
+// Data-member names of `struct <name> { ... };` in `toks`, in declaration
+// order. Each `;`-terminated statement at the struct's top level is a
+// member, named by the last identifier before its initializer (`= ...` or
+// `{...}`). Member functions (their heads end in `)`) with their bodies,
+// and static, using, friend and nested type declarations are skipped.
+std::vector<std::string> ParseStructFields(const std::vector<Token>& toks,
+                                           const std::string& name) {
+  std::vector<std::string> fields;
+  size_t i = 0;
+  while (i + 2 < toks.size() &&
+         !(IsIdent(toks[i], "struct") && IsIdent(toks[i + 1], name.c_str()) &&
+           IsPunct(toks[i + 2], "{"))) {
+    ++i;
+  }
+  size_t stmt = i += 3;  // first token of the current statement
+  size_t cut = 0;        // first `=` or `{` of the statement, 0 = none yet
+  for (int depth = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (depth == 0 && IsPunct(t, "{") && EndsWithParams(toks, stmt, i)) {
+      for (int body = 0; i < toks.size(); ++i) {  // skip a function body
+        if (IsPunct(toks[i], "{")) ++body;
+        if (IsPunct(toks[i], "}") && --body == 0) break;
+      }
+      stmt = i + 1;
+      cut = 0;
+      continue;
+    }
+    if (depth == 0 && cut == 0 && (IsPunct(t, "=") || IsPunct(t, "{"))) {
+      cut = i;
+    }
+    if (IsPunct(t, "{")) ++depth;
+    if (IsPunct(t, "}") && --depth < 0) break;  // end of the struct
+    if (depth != 0 || !IsPunct(t, ";")) continue;
+    const size_t end = cut != 0 ? cut : i;
+    const Token& first = toks[stmt];
+    const bool skip = IsIdent(first, "static") || IsIdent(first, "using") ||
+                      IsIdent(first, "friend") || IsIdent(first, "enum") ||
+                      IsIdent(first, "struct") || IsIdent(first, "class");
+    if (!skip && end > stmt && toks[end - 1].kind == Token::Kind::kIdent &&
+        !EndsWithParams(toks, stmt, end)) {
+      fields.push_back(toks[end - 1].text);
+    }
+    stmt = i + 1;
+    cut = 0;
+  }
+  return fields;
+}
+
+// The config-field contract: every CormConfig field must be assigned
+// (`.field =`, a member store or a designated initializer) by some file
+// under src/, bench/, examples/, perfbench/ or tests/ other than `node_h`,
+// the header that declares it. The lint fixture trees are not searched:
+// their mini configs must not vouch for the real one. Returns the failure
+// count.
+int AuditUnsetConfigFields(const fs::path& root, const fs::path& node_h,
+                           const std::vector<std::string>& fields,
+                           const std::function<void(const std::string&)>& fail) {
+  std::set<std::string> unset(fields.begin(), fields.end());
+  for (const char* dir : {"src", "bench", "examples", "perfbench", "tests"}) {
+    if (!fs::is_directory(root / dir)) continue;
+    for (auto it = fs::recursive_directory_iterator(root / dir);
+         it != fs::recursive_directory_iterator(); ++it) {
+      const fs::directory_entry& entry = *it;
+      if (entry.is_directory() && entry.path().filename() == "lint_fixtures") {
+        it.disable_recursion_pending();
+        continue;
+      }
+      const auto ext = entry.path().extension();
+      std::string text;
+      if (!entry.is_regular_file() ||
+          (ext != ".h" && ext != ".cc" && ext != ".cpp") ||
+          fs::equivalent(entry.path(), node_h) ||
+          !ReadFile(entry.path(), &text)) {
+        continue;
+      }
+      const std::vector<Token> toks = Lex(text).tokens;
+      for (size_t k = 0; k + 2 < toks.size(); ++k) {
+        if (IsPunct(toks[k], ".") && IsPunct(toks[k + 2], "=")) {
+          unset.erase(toks[k + 1].text);
+        }
+      }
+    }
+  }
+  for (const std::string& f : fields) {
+    if (unset.count(f) != 0) {
+      fail("CormConfig field `" + f +
+           "` is set by nothing under src/, bench/, examples/, perfbench/ "
+           "or tests/: delete it or fold it into a constant");
+    }
+  }
+  return static_cast<int>(unset.size());
+}
+
 // The quoted targets of the `#include "..."` lines in `text`.
 std::vector<std::string> QuotedIncludes(const std::string& text) {
   std::vector<std::string> out;
@@ -338,6 +438,17 @@ int RunAudits(const std::string& root, std::ostream& os) {
   if (failures == fault_failures) {
     os << "  OK   node counters: " << counters.size()
        << " counter(s) documented\n";
+  }
+
+  // --- Config fields. ------------------------------------------------------
+  const auto fields = ParseStructFields(node_h->tokens(), "CormConfig");
+  if (fields.empty()) {
+    os << "FATAL: no struct CormConfig fields in " << node_h->path() << "\n";
+    return 2;
+  }
+  if (AuditUnsetConfigFields(rp, node_h->path(), fields, fail) == 0) {
+    os << "  OK   config fields: " << fields.size()
+       << " CormConfig field(s) set outside their header\n";
   }
 
   // --- Dead modules. -------------------------------------------------------

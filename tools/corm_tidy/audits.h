@@ -1,6 +1,6 @@
 // corm-tidy: project contract audits (`corm-tidy --audit`).
 //
-// Three exhaustiveness contracts that rot silently without a machine check:
+// Four exhaustiveness contracts that rot silently without a machine check:
 //
 //   Fault sites.  Every named injection site in src/sim/fault_injector.h
 //   (the fault_sites namespace) must be (a) exercised by at least one test
@@ -18,6 +18,14 @@
 //   EXPERIMENTS.md's stats schema (the stats-schema-begin/end block), which
 //   is what bench scripts and plots consume. Again both directions: a
 //   schema row for a counter that was removed fails.
+//
+//   Config fields.  Every data member of `struct CormConfig` (parsed from
+//   corm_node.h's tokens) must be assigned — `.field =`, a store or a
+//   designated initializer — by some file under src/, bench/, examples/,
+//   perfbench/ or tests/ (the lint fixture trees aside) other than
+//   corm_node.h itself. CormConfig keeps
+//   only settings a caller changes; a field nothing sets is a constant
+//   dressed up as a knob.
 //
 //   Dead modules.  Every header under src/ must be #included by some file
 //   under src/, bench/, examples/ or perfbench/ other than its own .cc

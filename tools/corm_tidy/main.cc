@@ -56,8 +56,8 @@ int Usage(std::ostream& os, int code) {
         "  --no-interproc    disable the whole-program call-graph analysis\n"
         "                    (per-function checks only, as before v2)\n"
         "  --audit           run the project contract audits (fault sites,\n"
-        "                    node counter schema, dead modules) against\n"
-        "                    --root and exit\n"
+        "                    node counter schema, unset config fields, dead\n"
+        "                    modules) against --root and exit\n"
         "  --root <dir>      repo root for --audit (default: .)\n"
         "  --wire-abi        print the wire-ABI layout JSON for the loaded\n"
         "                    files and exit (diffed against the committed\n"
